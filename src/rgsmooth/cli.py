@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 I/O failure, 2 invalid input or parse failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -132,12 +133,11 @@ def run_smooth(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
+    outputs = [(args.output, write_points(result.output, schema))]
+    if args.svg:
+        outputs.append((args.svg, emit_svg(polyline, result.output)))
     try:
-        with open(args.output, "wb") as fh:
-            fh.write(write_points(result.output, schema))
-        if args.svg:
-            with open(args.svg, "wb") as fh:
-                fh.write(emit_svg(polyline, result.output))
+        _write_all(outputs)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -157,14 +157,47 @@ def run_generate(args) -> int:
     data = write_points(polyline)
     try:
         if args.output:
-            with open(args.output, "wb") as fh:
-                fh.write(data)
+            _write_all([(args.output, data)])
         else:
             sys.stdout.buffer.write(data)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
+
+
+def _write_all(outputs: list[tuple[str, bytes]]) -> None:
+    """Write every (path, data) pair, or none of them on an OSError.
+
+    Each file is written in full to a hidden temporary file beside its
+    target, and the temporary files replace their targets only once all
+    of them are complete.  A symlink is followed, so the link stays and
+    its file is replaced.  An existing target that is not a regular file
+    (/dev/null, /dev/stdout) is written directly after that.
+    """
+    staged = []
+    for i, (path, data) in enumerate(outputs):
+        if os.path.exists(path) and not os.path.isfile(path):
+            staged.append((None, path, data))
+        else:
+            target = os.path.realpath(path)
+            head, tail = os.path.split(target)
+            staged.append((os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp"), target, data))
+    try:
+        for tmp, _, data in staged:
+            if tmp is not None:
+                with open(tmp, "wb") as fh:
+                    fh.write(data)
+        for tmp, path, data in staged:
+            if tmp is not None:
+                os.replace(tmp, path)
+            else:
+                with open(path, "wb") as fh:
+                    fh.write(data)
+    finally:
+        for tmp, _, _ in staged:
+            if tmp is not None and os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def _trace_line(rec) -> str:

@@ -16,11 +16,20 @@ import csv
 import dataclasses
 import io as _stdio
 import math
+import warnings
 
 import numpy as np
 
 from .chain import Polyline
 from .errors import InvalidInputError, ParseError
+
+# Rows per formatting block in write_points and emit_svg.
+_BLOCK_ROWS = 4096
+
+# Characters the fast CSV parse leaves to the row parser: a quote starts a
+# quoted field for csv.reader, and np.loadtxt strips the separators
+# \x1c-\x1f from numbers as whitespace where float() rejects them.
+_ROW_PARSER_ONLY = '"\x1c\x1d\x1e\x1f'
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,6 +49,8 @@ class CsvSchema:
             raise InvalidInputError(f"delimiter must be a single character, got {self.delimiter!r}")
         if self.columns is not None:
             object.__setattr__(self, "columns", tuple(self.columns))
+            if not self.columns:
+                raise InvalidInputError("columns must select at least one column")
             if any(c < 0 for c in self.columns):
                 raise InvalidInputError("column indices must be non-negative")
 
@@ -47,17 +58,74 @@ class CsvSchema:
 def read_points(source, schema: CsvSchema = CsvSchema()) -> Polyline:
     """Parse a CSV stream (text, bytes, or file-like) into a polyline.
 
+    Bytes are decoded as UTF-8; a leading byte-order mark is ignored.
     Every data row must yield the same number of finite coordinates.
     Raises ParseError with the 1-based row and column of the first
     offending cell, or InvalidInputError when fewer than 2 points remain.
+
+    Plain numeric files take one vectorized parse.  Anything that parse
+    declines goes through the row parser, which accepts the same files
+    with the same values and reports every error.
     """
-    text = source.read() if hasattr(source, "read") else source
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    reader = csv.reader(_stdio.StringIO(text), delimiter=schema.delimiter)
+    text = _decode(source)
+    points = _parse_fast(text, schema)
+    if points is None:
+        points = _parse_rows(text, schema)
+    return Polyline(points)
+
+
+def _decode(source) -> str:
+    """Text of a str, bytes or file-like source, minus a leading BOM."""
+    data = source.read() if hasattr(source, "read") else source
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            row = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(
+                f"row {row}: byte {data[exc.start]:#04x} at offset {exc.start} is not UTF-8",
+                row=row,
+            ) from None
+    return data.removeprefix("\ufeff")
+
+
+def _parse_fast(text: str, schema: CsvSchema) -> np.ndarray | None:
+    """One ``np.loadtxt`` parse, or None where the row parser must decide.
+
+    It declines text holding a character of _ROW_PARSER_ONLY or a bare CR
+    (``csv.reader`` rejects a bare CR inside a row, loadtxt ends the row
+    there), and any input that loadtxt rejects or warns about, that has
+    fewer than 2 rows, or that holds a non-finite value.
+    """
+    if any(c in text for c in _ROW_PARSER_ONLY) or (
+        "\r" in text and text.count("\r") != text.count("\r\n")
+    ):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = np.loadtxt(
+                _stdio.StringIO(text),
+                dtype=np.float64,
+                delimiter=schema.delimiter,
+                comments=None,
+                quotechar=None,
+                usecols=schema.columns,
+                skiprows=int(schema.has_header),
+                ndmin=2,
+            )
+    except (ValueError, TypeError, Warning):
+        return None
+    if len(points) < 2 or not np.isfinite(points).all():
+        return None
+    return points
+
+
+def _parse_rows(text: str, schema: CsvSchema) -> np.ndarray:
+    """The row-by-row parser: the reference for what the CSV format means."""
     points: list[list[float]] = []
     dimension = None
-    for row_no, row in enumerate(reader, start=1):
+    for row_no, row in _csv_rows(text, schema.delimiter):
         if schema.has_header and row_no == 1:
             continue
         if not row or all(cell.strip() == "" for cell in row):
@@ -101,7 +169,17 @@ def read_points(source, schema: CsvSchema = CsvSchema()) -> Polyline:
         points.append(coords)
     if len(points) < 2:
         raise InvalidInputError(f"need at least 2 data rows, got {len(points)}")
-    return Polyline(np.array(points, dtype=np.float64))
+    return np.array(points, dtype=np.float64)
+
+
+def _csv_rows(text: str, delimiter: str):
+    """Yield (1-based row number, cells); a malformed row raises ParseError."""
+    row_no = 0
+    try:
+        for row_no, row in enumerate(csv.reader(_stdio.StringIO(text), delimiter=delimiter), 1):
+            yield row_no, row
+    except csv.Error as exc:
+        raise ParseError(f"row {row_no + 1}: {exc}", row=row_no + 1) from None
 
 
 def write_points(polyline: Polyline, schema: CsvSchema = CsvSchema()) -> bytes:
@@ -111,10 +189,11 @@ def write_points(polyline: Polyline, schema: CsvSchema = CsvSchema()) -> bytes:
     to the same float64, making the CSV round trip lossless.  Only the
     schema's delimiter matters here; no header row is emitted.
     """
-    lines = [
-        schema.delimiter.join(repr(float(v)) for v in row) for row in polyline.points
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    join = schema.delimiter.join
+    return "".join(
+        "\n".join(map(join, zip(*[map(repr, col) for col in block.T.tolist()]))) + "\n"
+        for block in _blocks(polyline.points)
+    ).encode("utf-8")
 
 
 def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0, 1)) -> bytes:
@@ -140,11 +219,17 @@ def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0,
     height = y_hi - y_lo
     stroke = 0.006 * max(width, height)
 
+    # Flip y inside the fixed viewBox so data y increases upward.  The
+    # bounds are summed first, as in y_lo + y_hi - y, to round the same.
+    flip = y_lo + y_hi
+
     def path(poly: Polyline) -> str:
-        # Flip y inside the fixed viewBox so data y increases upward.
-        return " ".join(
-            f"{_num(p[ax])},{_num(y_lo + y_hi - p[ay])}" for p in poly.points
-        )
+        # Formatted like _num, a block of Python floats at a time.
+        chunks = []
+        for b in _blocks(poly.points):
+            flipped = (flip - b[:, ay]).tolist()
+            chunks.append(" ".join([f"{x:.6g},{y:.6g}" for x, y in zip(b[:, ax].tolist(), flipped)]))
+        return " ".join(chunks)
 
     removed = original.n_points - smoothed.n_points
     ratio = (1.0 - smoothed.n_points / original.n_points) * 100.0
@@ -163,6 +248,12 @@ def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0,
         "</svg>",
     ]
     return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+def _blocks(points: np.ndarray):
+    """Row slices of at most _BLOCK_ROWS rows, so that the writers hold the
+    Python floats of one block at a time, never of the whole curve."""
+    return (points[i:i + _BLOCK_ROWS] for i in range(0, len(points), _BLOCK_ROWS))
 
 
 def _padded_bounds(lo: float, hi: float) -> tuple[float, float]:

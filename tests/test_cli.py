@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -9,6 +11,12 @@ import pytest
 
 from rgsmooth import InvalidInputError, read_points, smooth, write_points
 from rgsmooth.cli import generate_points, main
+
+
+def noisy_input(tmp_path):
+    src = tmp_path / "in.csv"
+    src.write_bytes(write_points(generate_points("sine-noise", 21, 10.0, 0.2, seed=6)))
+    return src
 
 
 def run_cli(*argv):
@@ -121,13 +129,25 @@ class TestSmoothCommand:
         assert code == 2
         assert "delimiter" in capsys.readouterr().err
 
-    def test_parse_failure_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content, where",
+        [
+            (b"0,zero\n1,1\n", "row 1"),
+            (b"0,0\n1,\xff\n2,2\n", "row 2"),
+            (b"1,2\r3,4\n5,6\n", "row 1"),
+        ],
+        ids=["not-a-number", "not-utf8", "bare-cr"],
+    )
+    def test_parse_failure_exit_2(self, tmp_path, capsys, content, where):
         src = tmp_path / "in.csv"
-        src.write_text("0,zero\n1,1\n")
+        src.write_bytes(content)
         code = main(["smooth", "--input", str(src), "--output", str(tmp_path / "o.csv"),
                      "--steps", "1"])
         assert code == 2
-        assert "row 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert where in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.csv").exists()
 
     def test_missing_input_exit_1(self, tmp_path):
         code = main(["smooth", "--input", str(tmp_path / "absent.csv"),
@@ -143,6 +163,39 @@ class TestSmoothCommand:
                      "--steps", "10", "--svg", str(svg)]) == 0
         content = svg.read_text()
         assert content.count("<polyline") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.csv", "plot.svg"]
+
+    def test_failed_svg_write_leaves_no_csv(self, tmp_path, capsys):
+        src = noisy_input(tmp_path)
+        code = main(["smooth", "--input", str(src), "--output", str(tmp_path / "out.csv"),
+                     "--steps", "10", "--svg", str(tmp_path / "absent" / "plot.svg")])
+        assert code == 1
+        assert "cannot write output" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+    def test_symlinked_output_keeps_link(self, tmp_path):
+        src = noisy_input(tmp_path)
+        (tmp_path / "real.csv").write_bytes(b"stale\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to("real.csv")
+        assert main(["smooth", "--input", str(src), "--output", str(link), "--steps", "10"]) == 0
+        assert link.is_symlink()
+        assert read_points((tmp_path / "real.csv").read_bytes()).n_points == 11
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_non_regular_output_written_in_place(self, tmp_path):
+        src = noisy_input(tmp_path)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["smooth", "--input", str(src), "--output", str(fifo),
+                         "--steps", "10"]) == 0
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert read_points(data).n_points == 11
 
     def test_svg_requires_two_dims(self, tmp_path, capsys):
         src = tmp_path / "in.csv"

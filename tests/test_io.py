@@ -4,6 +4,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rgsmooth import (
     CsvSchema,
@@ -14,6 +16,7 @@ from rgsmooth import (
     read_points,
     write_points,
 )
+from rgsmooth.io import _BLOCK_ROWS, _decode, _padded_bounds, _parse_fast, _parse_rows
 
 
 class TestReadPoints:
@@ -52,6 +55,11 @@ class TestReadPoints:
         with pytest.raises(InvalidInputError):
             read_points("0,1\n")
 
+    def test_empty_input_warns_nothing(self, recwarn):
+        with pytest.raises(InvalidInputError):
+            read_points("")
+        assert not recwarn.list
+
     def test_column_selection(self):
         p = read_points("a,0,9\nb,1,8\n", CsvSchema(columns=(1, 2)))
         assert np.array_equal(p.points, [(0, 9), (1, 8)])
@@ -78,6 +86,89 @@ class TestReadPoints:
             CsvSchema(delimiter=",,")
         with pytest.raises(InvalidInputError):
             CsvSchema(columns=(0, -1))
+        with pytest.raises(InvalidInputError):
+            CsvSchema(columns=())
+
+    @pytest.mark.parametrize(
+        "data, row, message",
+        [
+            (b"0,1\n1,\xff\n", 2, "not UTF-8"),
+            (b"1,2\r3,4\n5,6\n", 1, "new-line character seen in unquoted field"),
+        ],
+        ids=["not-utf8", "bare-cr"],
+    )
+    def test_malformed_text_is_parse_error(self, data, row, message):
+        with pytest.raises(ParseError) as err:
+            read_points(data)
+        assert err.value.row == row
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("source", [b"\xef\xbb\xbf0,1\n1,2\n", "\ufeff0,1\n1,2\n"])
+    def test_leading_bom_ignored(self, source):
+        assert np.array_equal(read_points(source).points, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0,1\r\n1,2\r\n", '0,1\n"1",2\n', "0,1\n1,2"],
+        ids=["crlf", "quoted", "no-final-newline"],
+    )
+    def test_dialect_variants(self, text):
+        assert np.array_equal(read_points(text).points, [(0, 1), (1, 2)])
+
+    def test_plain_numbers_take_fast_parse(self):
+        assert _parse_fast("0,1\r\n1,2\r\n", CsvSchema()) is not None
+        assert _parse_fast("x;y\n0;1;a\n1;2;b\n", CsvSchema(";", True, (0, 1))) is not None
+        assert _parse_fast('0,1\n"1",2\n', CsvSchema()) is None
+
+
+# Text made of the pieces where a vectorized CSV parse and csv.reader plus
+# float() could part ways.
+_PIECES = st.sampled_from(
+    list("0123456789.eE+-_")
+    + [" ", "\t", "\n", "\r\n", "\r", '"', "\ufeff", "nan", "inf", "DELIM"]
+)
+_NUMBERS = st.sampled_from(["0", "1", "-2.5", "3e2", ".5", "7.", "+4", " 6 "])
+# Mostly numbers, so that the vectorized parse gets exercised; an empty
+# cell makes blank and delimiter-only rows.
+_CELLS = st.one_of(*[_NUMBERS] * 6, st.lists(_PIECES, max_size=3).map("".join))
+_ENDINGS = st.sampled_from(["\n"] * 8 + ["\r\n", "\r", ""])
+
+
+@st.composite
+def csv_texts(draw):
+    delimiter = draw(st.sampled_from([",", ";", "\t", " "]))
+    width = draw(st.integers(1, 3))
+    if draw(st.integers(0, 3)) == 0:
+        text = "".join(draw(st.lists(_PIECES, max_size=30)))
+    else:
+        row = st.tuples(st.lists(_CELLS, min_size=width, max_size=width), _ENDINGS)
+        rows = draw(st.lists(row, min_size=2, max_size=8))
+        text = "".join("DELIM".join(cells) + ending for cells, ending in rows)
+    columns = st.lists(st.integers(0, width - 1), min_size=1, max_size=3).map(tuple)
+    columns = draw(st.none() | columns)
+    schema = CsvSchema(delimiter=delimiter, has_header=draw(st.booleans()), columns=columns)
+    return text.replace("DELIM", delimiter), schema
+
+
+def _outcome(parse):
+    try:
+        points = parse()
+    except (ParseError, InvalidInputError) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    return points.shape, points.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_texts())
+@example(("x\ry\n0,1\n1,2\n", CsvSchema(has_header=True)))  # bare CR in the header
+@example(('"x\n0,1\n1,2\n', CsvSchema(has_header=True)))  # header opens a quoted field
+@example(('"a,0\n",1\n2,3\n', CsvSchema(columns=(1,))))  # quoted newline, unused column
+def test_fast_read_matches_row_parser(case):
+    text, schema = case
+    data = text.encode("utf-8")
+    fast = _outcome(lambda: read_points(data, schema).points)
+    rows = _outcome(lambda: Polyline(_parse_rows(_decode(data), schema)).points)
+    assert fast == rows
 
 
 class TestWritePoints:
@@ -99,6 +190,50 @@ class TestWritePoints:
     def test_delimiter_respected(self):
         data = write_points(Polyline([(0, 0), (1, 0)]), CsvSchema(delimiter=";"))
         assert b";" in data and b"," not in data
+
+
+# Coordinates whose shortest repr or 6-digit form is unusual.
+EXTREMES = [-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308]
+
+
+def writer_cases():
+    rng = np.random.default_rng(5)
+    n = 2 * _BLOCK_ROWS + 3
+    noisy = rng.normal(scale=10.0, size=(n, 3)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))
+    grid = np.array([(a, b, a) for a in EXTREMES for b in EXTREMES])
+    # y_lo + y_hi is 1.0 here, so the flipped y of the point at y=1 is 0
+    # only when the sum is taken first, as it always was.
+    cancelling = np.array([(0.0, 0.0, 0.5), (1.0, 1.0, 0.25), (2.0, 0.3, 0.0)])
+    return [noisy, grid, np.vstack([noisy, grid, -grid]), cancelling]
+
+
+@pytest.mark.parametrize(
+    "points", writer_cases(), ids=["random", "extremes", "mixed", "cancelling"]
+)
+class TestWritersMatchElementwise:
+    """The block-wise writers against the per-element formatting they replaced."""
+
+    def test_write_points(self, points):
+        for schema in (CsvSchema(), CsvSchema(delimiter="\t")):
+            expected = "".join(
+                schema.delimiter.join(repr(float(v)) for v in row) + "\n" for row in points
+            )
+            assert write_points(Polyline(points), schema) == expected.encode()
+
+    def test_emit_svg_points(self, points):
+        original = Polyline(points)
+        smoothed = Polyline(points[::2])
+        for ax, ay in ((0, 1), (2, 0)):
+            ys = np.concatenate([points[:, ay], smoothed.points[:, ay]])
+            with np.errstate(over="ignore", invalid="ignore"):
+                svg = emit_svg(original, smoothed, axes=(ax, ay)).decode()
+                y_lo, y_hi = _padded_bounds(ys.min(), ys.max())
+                for poly in (original, smoothed):
+                    expected = " ".join(
+                        f"{float(p[ax]):.6g},{float(y_lo + y_hi - p[ay]):.6g}"
+                        for p in poly.points
+                    )
+                    assert f'points="{expected}"' in svg
 
 
 def curve_pair():
