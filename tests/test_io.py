@@ -202,7 +202,7 @@ def writer_cases():
     noisy = rng.normal(scale=10.0, size=(n, 3)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))
     grid = np.array([(a, b, a) for a in EXTREMES for b in EXTREMES])
     # y_lo + y_hi is 1.0 here, so the flipped y of the point at y=1 is 0
-    # only when the sum is taken first, as it always was.
+    # only when the bounds are summed before y is subtracted.
     cancelling = np.array([(0.0, 0.0, 0.5), (1.0, 1.0, 0.25), (2.0, 0.3, 0.0)])
     return [noisy, grid, np.vstack([noisy, grid, -grid]), cancelling]
 
@@ -211,7 +211,8 @@ def writer_cases():
     "points", writer_cases(), ids=["random", "extremes", "mixed", "cancelling"]
 )
 class TestWritersMatchElementwise:
-    """The block-wise writers against the per-element formatting they replaced."""
+    """The block-wise writers against per-element formatting, the reference
+    for their bytes."""
 
     def test_write_points(self, points):
         for schema in (CsvSchema(), CsvSchema(delimiter="\t")):
