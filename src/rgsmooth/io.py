@@ -102,8 +102,10 @@ def _parse_fast(text: str, schema: CsvSchema) -> np.ndarray | None:
     ):
         return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        # Warnings are recorded rather than raised: the filter is process-wide,
+        # and an "error" filter would raise in other threads too.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             points = np.loadtxt(
                 _stdio.StringIO(text),
                 dtype=np.float64,
@@ -114,9 +116,9 @@ def _parse_fast(text: str, schema: CsvSchema) -> np.ndarray | None:
                 skiprows=int(schema.has_header),
                 ndmin=2,
             )
-    except (ValueError, TypeError, Warning):
+    except (ValueError, TypeError):
         return None
-    if len(points) < 2 or not np.isfinite(points).all():
+    if caught or len(points) < 2 or not np.isfinite(points).all():
         return None
     return points
 
