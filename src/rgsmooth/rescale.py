@@ -209,6 +209,16 @@ def _apply_lattice(tangents: NDArray[np.float64], first, counts, den: int) -> ND
     return out
 
 
+def _merge(tangents: NDArray[np.float64], num: int, den: int) -> NDArray[np.float64]:
+    """Tangents after one pass at the factor ``num / den``, in (1, 2] and reduced.
+
+    The array kernel of :func:`rescale_fractional`, without the factor
+    check or the chain wrapper, for callers that have checked both.
+    """
+    first, counts = _lattice_rows(tangents.shape[0], num, den)
+    return _apply_lattice(tangents, first, counts, den)
+
+
 def rescale_fractional(chain: TangentChain, factor) -> TangentChain:
     """One rescaling pass of a tangent chain at a fractional merge factor.
 
@@ -217,9 +227,7 @@ def rescale_fractional(chain: TangentChain, factor) -> TangentChain:
     Acts on every coordinate axis independently.
     """
     f = _check_fractional(factor)
-    num, den = f.numerator, f.denominator
-    first, counts = _lattice_rows(chain.n_segments, num, den)
-    return TangentChain(base=chain.base, tangents=_apply_lattice(chain.tangents, first, counts, den))
+    return TangentChain(base=chain.base, tangents=_merge(chain.tangents, f.numerator, f.denominator))
 
 
 def rescale_integer(chain: TangentChain, factor: int) -> TangentChain:

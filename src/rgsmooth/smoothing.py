@@ -5,18 +5,27 @@ count integral, ``n / (n - 1)``, so exactly one point is removed per pass
 and no tail is ever lost.  The first and last points are therefore fixed:
 the first bit for bit, the last up to float rounding.  The number of
 passes is the method's only tuning parameter.
+
+A pass works on the bare tangent array; only the run's input and output
+are wrapped as validated curves.  The per-pass schedule depends on
+nothing but the input's point count and the number of passes, so a
+:class:`SmoothingTrace` stores just those two numbers and builds its
+records on first access.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 from fractions import Fraction
 
-from .chain import Polyline, build_chain, reconstruct
+import numpy as np
+
+from .chain import Polyline, TangentChain, build_chain, reconstruct
 from .errors import ChainTooShortError, InvalidInputError, TooManyStepsError
-from .rescale import rescale_fractional
+from .rescale import _merge
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,12 +46,37 @@ class StepRecord:
 
 @dataclasses.dataclass(frozen=True)
 class SmoothingTrace:
-    """Per-pass schedule log of one smoothing run."""
+    """Per-pass schedule of one smoothing run.
 
-    steps: tuple[StepRecord, ...]
+    ``n_points`` is the point count of the run's input and ``n_steps``
+    the number of passes.  ``steps``, one :class:`StepRecord` per pass,
+    is computed from these two numbers on first access and then kept, so
+    a run whose trace is never read pays nothing for it.  ``len()`` needs
+    no records.
+    """
+
+    n_points: int
+    n_steps: int
+
+    @functools.cached_property
+    def steps(self) -> tuple[StepRecord, ...]:
+        n_original = self.n_points - 1
+        records = []
+        for step in range(1, self.n_steps + 1):
+            n_before = n_original - step + 1
+            records.append(
+                StepRecord(
+                    step=step,
+                    n_before=n_before,
+                    factor=optimal_scaling(n_before),
+                    n_after=n_before - 1,
+                    compression_ratio_pct=compression_ratio(n_original, n_before - 1),
+                )
+            )
+        return tuple(records)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return self.n_steps
 
     def __iter__(self):
         return iter(self.steps)
@@ -93,11 +127,13 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
 
     Returns
     -------
-    SmoothingResult with the smoothed curve and the per-pass trace.
+    SmoothingResult with the smoothed curve and the per-pass trace.  The
+    trace's records are built only when read.
 
     Raises
     ------
-    InvalidInputError : negative step count.
+    InvalidInputError : negative step count, or a difference or merged
+        tangent beyond the float64 range.
     TooManyStepsError : ``steps > n_segments - 1``; carries the maximum.
     """
     steps = _as_int(steps, "step count")
@@ -111,32 +147,28 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
             f"allows at most {max_steps}",
             max_steps=max_steps,
         )
+    trace = SmoothingTrace(n_points=n_original + 1, n_steps=steps)
     if steps == 0:
         return SmoothingResult(
             output=polyline,
-            trace=SmoothingTrace(steps=()),
+            trace=trace,
             input_points=n_original + 1,
             output_points=n_original + 1,
         )
-    chain = build_chain(polyline)
-    records = []
-    for step in range(1, steps + 1):
-        n_before = chain.n_segments
-        factor = optimal_scaling(n_before)
-        chain = rescale_fractional(chain, factor)
-        records.append(
-            StepRecord(
-                step=step,
-                n_before=n_before,
-                factor=factor,
-                n_after=chain.n_segments,
-                compression_ratio_pct=compression_ratio(n_original, chain.n_segments),
-            )
-        )
-    output = reconstruct(chain)
+    # The input is finite, so a non-finite tangent or point here can only
+    # come from an overflow; the chain and curve checks report it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            chain = build_chain(polyline)
+            tangents = chain.tangents
+            for m in range(n_original, n_original - steps, -1):
+                tangents = _merge(tangents, m, m - 1)
+            output = reconstruct(TangentChain(base=chain.base, tangents=tangents))
+        except InvalidInputError:
+            raise InvalidInputError("coordinates overflowed float64 while smoothing") from None
     return SmoothingResult(
         output=output,
-        trace=SmoothingTrace(steps=tuple(records)),
+        trace=trace,
         input_points=n_original + 1,
         output_points=output.n_points,
     )

@@ -149,6 +149,20 @@ class TestSmoothCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"-1e308,0\n0,0\n1e308,0\n", b"-1e308\n1e308\n0\n"],
+        ids=["merged-tangent", "difference"],
+    )
+    def test_overflow_exit_2_one_line(self, tmp_path, content):
+        src = tmp_path / "in.csv"
+        src.write_bytes(content)
+        run = run_cli("smooth", "--input", str(src), "--output", str(tmp_path / "o.csv"),
+                      "--steps", "1")
+        assert run.returncode == 2
+        assert run.stderr == "error: coordinates overflowed float64 while smoothing\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_input_exit_1(self, tmp_path):
         code = main(["smooth", "--input", str(tmp_path / "absent.csv"),
                      "--output", str(tmp_path / "o.csv"), "--steps", "1"])

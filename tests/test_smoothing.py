@@ -1,6 +1,7 @@
 """Tests for the iterative smoothing driver."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,13 @@ from rgsmooth import (
     ChainTooShortError,
     InvalidInputError,
     Polyline,
+    StepRecord,
     TooManyStepsError,
+    build_chain,
     compression_ratio,
     optimal_scaling,
+    reconstruct,
+    rescale_fractional,
     smooth,
     smooth_to_ratio,
 )
@@ -30,6 +35,31 @@ def resample_oracle(points, factor):
     return np.column_stack(
         [np.interp(u, grid, points[:, c]) for c in range(points.shape[1])]
     )
+
+
+def chain_passes(polyline, steps):
+    """Reference for the driver: the same passes through the public chain
+    API, one validated chain, one rescale_fractional call and one eagerly
+    built record per pass.  Returns the curve after every pass (index 0 is
+    the input) and the records."""
+    n_original = polyline.n_segments
+    chain = build_chain(polyline)
+    curves, records = [polyline.points], []
+    for step in range(1, steps + 1):
+        n_before = chain.n_segments
+        factor = optimal_scaling(n_before)
+        chain = rescale_fractional(chain, factor)
+        curves.append(reconstruct(chain).points)
+        records.append(
+            StepRecord(
+                step=step,
+                n_before=n_before,
+                factor=factor,
+                n_after=chain.n_segments,
+                compression_ratio_pct=compression_ratio(n_original, chain.n_segments),
+            )
+        )
+    return curves, records
 
 
 def smooth_oracle(points, steps):
@@ -103,6 +133,7 @@ class TestSmooth:
         res = smooth(p, 0)
         assert res.output is p
         assert len(res.trace) == 0
+        assert res.trace.steps == ()
 
     def test_negative_steps_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -209,3 +240,45 @@ class TestSmoothToRatio:
         for bad in (-1.0, 100.0, float("nan")):
             with pytest.raises(InvalidInputError):
                 smooth_to_ratio(p, bad)
+
+
+class TestArrayLoopAndLazyTrace:
+    @pytest.mark.parametrize("n_points", [3, 37, 401])
+    def test_matches_chain_passes_bitwise_for_every_step_count(self, n_points):
+        p = noisy_curve(n_points=n_points, seed=n_points)
+        curves, records = chain_passes(p, n_points - 2)
+        for steps in range(n_points - 1):
+            res = smooth(p, steps)
+            assert res.output.points.tobytes() == curves[steps].tobytes()
+            assert res.trace.steps == tuple(records[:steps])
+            assert len(res.trace) == steps
+
+    def test_steps_built_once_and_only_when_read(self):
+        trace = smooth(noisy_curve(n_points=21), 12).trace
+        assert len(trace) == 12
+        assert "steps" not in trace.__dict__
+        first = trace.steps
+        assert trace.steps is first
+        assert list(trace) == list(first)
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_output_read_only_and_unshared(self, dim):
+        shape = (31,) if dim == 1 else (31, dim)
+        p = Polyline(np.random.default_rng(2).normal(size=shape))
+        for steps in (1, p.n_points - 2):
+            out = smooth(p, steps).output.points
+            assert not out.flags.writeable
+            assert not np.shares_memory(out, p.points)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "points",
+        [[(-1e308, 0.0), (0.0, 0.0), (1e308, 0.0)], [-1e308, 1e308, 0.0]],
+        ids=["merged-tangent", "difference"],
+    )
+    def test_one_error_and_no_warning(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="overflowed float64 while smoothing"):
+                smooth(Polyline(points), 1)
