@@ -23,7 +23,7 @@ helix = np.column_stack([np.cos(t), np.sin(t), 0.15 * t])
 noisy = Polyline(helix + rng.normal(0.0, 0.08, size=helix.shape))
 
 result = smooth(noisy, steps=90)
-print(f"{noisy.n_points} noisy points -> {result.output_points} points "
+print(f"{noisy.n_points} noisy points -> {result.output.n_points} points "
       f"(c.r. {result.trace.steps[-1].compression_ratio_pct:.1f}%)")
 
 first_in, last_in = noisy.points[0], noisy.points[-1]

@@ -33,7 +33,7 @@ for steps in (1, 50, 80, 95):
     rmse = np.sqrt(np.mean((pts[:, 1] - np.sin(pts[:, 0])) ** 2))
     final = result.trace.steps[-1]
     print(
-        f"steps={steps:3d}: {result.output_points:3d} points left, "
+        f"steps={steps:3d}: {result.output.n_points:3d} points left, "
         f"c.r.={final.compression_ratio_pct:5.1f}%, "
         f"x spacing {pts[1, 0] - pts[0, 0]:.3f}, RMSE {rmse:.4f}"
     )

@@ -19,7 +19,6 @@ from .io import CsvSchema, emit_svg, read_points, write_points
 from .rescale import (
     CoefficientMatrix,
     CoefficientRow,
-    brute_force_coefficients,
     overlap_coefficients,
     rescale_fractional,
     rescale_integer,
@@ -44,7 +43,6 @@ __all__ = [
     "CoefficientRow",
     "CoefficientMatrix",
     "overlap_coefficients",
-    "brute_force_coefficients",
     "rescale_fractional",
     "rescale_integer",
     "StepRecord",

@@ -9,11 +9,19 @@ consecutive points).  The rescaling machinery operates on tangent chains;
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import InvalidInputError
+
+
+def _as_int(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _as_point_array(values, min_rows: int, what: str) -> NDArray[np.float64]:

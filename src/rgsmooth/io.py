@@ -191,11 +191,8 @@ def write_points(polyline: Polyline, schema: CsvSchema = CsvSchema()) -> bytes:
     to the same float64, making the CSV round trip lossless.  Only the
     schema's delimiter matters here; no header row is emitted.
     """
-    join = schema.delimiter.join
-    return "".join(
-        "\n".join(map(join, zip(*[map(repr, col) for col in block.T.tolist()]))) + "\n"
-        for block in _blocks(polyline.points)
-    ).encode("utf-8")
+    row = schema.delimiter.replace("%", "%%").join(["%r"] * polyline.dimension) + "\n"
+    return _format_rows(polyline.points, row).encode("utf-8")
 
 
 def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0, 1)) -> bytes:
@@ -226,12 +223,9 @@ def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0,
     flip = y_lo + y_hi
 
     def path(poly: Polyline) -> str:
-        # Formatted like _num, a block of Python floats at a time.
-        chunks = []
-        for b in _blocks(poly.points):
-            flipped = (flip - b[:, ay]).tolist()
-            chunks.append(" ".join([f"{x:.6g},{y:.6g}" for x, y in zip(b[:, ax].tolist(), flipped)]))
-        return " ".join(chunks)
+        # Formatted like _num; the last point's trailing space is cut.
+        columns = np.column_stack([poly.points[:, ax], flip - poly.points[:, ay]])
+        return _format_rows(columns, "%.6g,%.6g ")[:-1]
 
     removed = original.n_points - smoothed.n_points
     ratio = (1.0 - smoothed.n_points / original.n_points) * 100.0
@@ -252,10 +246,15 @@ def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0,
     return ("\n".join(parts) + "\n").encode("utf-8")
 
 
-def _blocks(points: np.ndarray):
-    """Row slices of at most _BLOCK_ROWS rows, so that the writers hold the
-    Python floats of one block at a time, never of the whole curve."""
-    return (points[i:i + _BLOCK_ROWS] for i in range(0, len(points), _BLOCK_ROWS))
+def _format_rows(points: np.ndarray, row: str) -> str:
+    """``row % tuple(point)`` for every row of ``points``, concatenated.
+
+    Each block of at most _BLOCK_ROWS rows takes one ``%`` format, so the
+    writers hold the Python floats of one block at a time, never of the
+    whole curve.
+    """
+    blocks = (points[i:i + _BLOCK_ROWS] for i in range(0, len(points), _BLOCK_ROWS))
+    return "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 def _padded_bounds(lo: float, hi: float) -> tuple[float, float]:

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain import TangentChain
+from .chain import TangentChain, _as_int
 from .errors import ChainTooShortError, InvalidInputError, InvalidScalingError
 
 
@@ -42,14 +42,6 @@ class CoefficientRow:
     """
 
     entries: tuple[tuple[int, Fraction], ...]
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.entries)
-
-    @property
-    def weight_sum(self) -> Fraction:
-        return sum((w for _, w in self.entries), Fraction(0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,10 +94,7 @@ def _check_fractional(factor) -> Fraction:
 
 
 def _check_n_old(n_old: int) -> int:
-    try:
-        n_old = operator.index(n_old)
-    except TypeError:
-        raise InvalidInputError(f"segment count must be an integer, got {n_old!r}") from None
+    n_old = _as_int(n_old, "segment count")
     if n_old < 1:
         raise InvalidInputError(f"segment count must be positive, got {n_old}")
     return n_old
@@ -168,28 +157,6 @@ def overlap_coefficients(n_old: int, factor) -> CoefficientMatrix:
             entries.append((j + 2, Fraction(int(counts[k, 2]), den)))
         rows.append(CoefficientRow(entries=tuple(entries)))
     return CoefficientMatrix(rows=tuple(rows), n_old=n_old, n_new=len(rows), factor=f)
-
-
-def brute_force_coefficients(n_old: int, factor) -> CoefficientMatrix:
-    """Same matrix as :func:`overlap_coefficients`, by tick enumeration.
-
-    Walks every 1/den tick of the chain, assigns it to the new segment
-    containing it, and aggregates tick counts per old segment.  Serves as
-    an independent cross-check of the closed-form overlap rule.
-    """
-    f = _check_fractional(factor)
-    n_old = _check_n_old(n_old)
-    num, den = f.numerator, f.denominator
-    n_new = _n_new(n_old, num, den)
-    rows = []
-    for k in range(n_new):
-        ticks: dict[int, int] = {}
-        for t in range(k * num, (k + 1) * num):
-            j = t // den
-            ticks[j] = ticks.get(j, 0) + 1
-        entries = tuple((j, Fraction(c, den)) for j, c in sorted(ticks.items()))
-        rows.append(CoefficientRow(entries=entries))
-    return CoefficientMatrix(rows=tuple(rows), n_old=n_old, n_new=n_new, factor=f)
 
 
 def _apply_lattice(tangents: NDArray[np.float64], first, counts, den: int) -> NDArray[np.float64]:

@@ -18,12 +18,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
 
-from .chain import Polyline, TangentChain, build_chain, reconstruct
+from .chain import Polyline, TangentChain, _as_int, build_chain, reconstruct
 from .errors import ChainTooShortError, InvalidInputError, TooManyStepsError
 from .rescale import _merge
 
@@ -86,8 +85,6 @@ class SmoothingTrace:
 class SmoothingResult:
     output: Polyline
     trace: SmoothingTrace
-    input_points: int
-    output_points: int
 
 
 def optimal_scaling(n_segments: int) -> Fraction:
@@ -149,12 +146,7 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
         )
     trace = SmoothingTrace(n_points=n_original + 1, n_steps=steps)
     if steps == 0:
-        return SmoothingResult(
-            output=polyline,
-            trace=trace,
-            input_points=n_original + 1,
-            output_points=n_original + 1,
-        )
+        return SmoothingResult(output=polyline, trace=trace)
     # The input is finite, so a non-finite tangent or point here can only
     # come from an overflow; the chain and curve checks report it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,12 +158,7 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
             output = reconstruct(TangentChain(base=chain.base, tangents=tangents))
         except InvalidInputError:
             raise InvalidInputError("coordinates overflowed float64 while smoothing") from None
-    return SmoothingResult(
-        output=output,
-        trace=trace,
-        input_points=n_original + 1,
-        output_points=output.n_points,
-    )
+    return SmoothingResult(output=output, trace=trace)
 
 
 def smooth_to_ratio(polyline: Polyline, target_cr_pct: float) -> SmoothingResult:
@@ -194,10 +181,3 @@ def smooth_to_ratio(polyline: Polyline, target_cr_pct: float) -> SmoothingResult
             max_steps=n - 1,
         )
     return smooth(polyline, k)
-
-
-def _as_int(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None

@@ -23,7 +23,6 @@ from rgsmooth import (
     Polyline,
     TangentChain,
     build_chain,
-    brute_force_coefficients,
     compression_ratio,
     optimal_scaling,
     overlap_coefficients,
@@ -34,6 +33,8 @@ from rgsmooth import (
     write_points,
 )
 from rgsmooth.cli import generate_points
+
+from oracles import brute_force_coefficients
 
 
 @contextmanager

@@ -1,6 +1,7 @@
 """Tests for CSV point I/O and the SVG overlay writer."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -215,16 +216,19 @@ class TestWritersMatchElementwise:
     for their bytes."""
 
     def test_write_points(self, points):
-        for schema in (CsvSchema(), CsvSchema(delimiter="\t")):
+        for delimiter, dim in itertools.product([",", "\t", ";", "%"], [1, 2, 3]):
+            poly, schema = Polyline(points[:, :dim]), CsvSchema(delimiter=delimiter)
             expected = "".join(
-                schema.delimiter.join(repr(float(v)) for v in row) + "\n" for row in points
+                delimiter.join(repr(float(v)) for v in row) + "\n" for row in poly.points
             )
-            assert write_points(Polyline(points), schema) == expected.encode()
+            data = write_points(poly, schema)
+            assert data == expected.encode()
+            assert read_points(data, schema).points.tobytes() == poly.points.tobytes()
 
     def test_emit_svg_points(self, points):
         original = Polyline(points)
         smoothed = Polyline(points[::2])
-        for ax, ay in ((0, 1), (2, 0)):
+        for ax, ay in ((0, 1), (0, 2), (2, 0)):
             ys = np.concatenate([points[:, ay], smoothed.points[:, ay]])
             with np.errstate(over="ignore", invalid="ignore"):
                 svg = emit_svg(original, smoothed, axes=(ax, ay)).decode()
