@@ -110,32 +110,26 @@ def run_smooth(args) -> int:
         print("error: SVG overlay requires at least 2 coordinate columns", file=sys.stderr)
         return EXIT_INVALID
 
-    max_steps = polyline.n_segments - 1
     try:
-        if args.steps is not None:
-            steps = max_steps if args.steps == "max" else args.steps
-            if steps > max_steps and args.clamp:
-                print(f"warning: clamping steps from {steps} to {max_steps}", file=sys.stderr)
-                steps = max_steps
-            result = smooth(polyline, steps)
-        else:
-            try:
+        try:
+            if args.target_cr is not None:
                 result = smooth_to_ratio(polyline, args.target_cr)
-            except TooManyStepsError:
-                if not args.clamp:
-                    raise
-                print(f"warning: clamping to the maximum of {max_steps} steps", file=sys.stderr)
-                result = smooth(polyline, max_steps)
-    except TooManyStepsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_MANY_STEPS
+            else:
+                steps = polyline.n_segments - 1 if args.steps == "max" else args.steps
+                result = smooth(polyline, steps)
+        except TooManyStepsError as exc:
+            if not args.clamp:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_TOO_MANY_STEPS
+            print(f"warning: clamping to the maximum of {exc.max_steps} steps", file=sys.stderr)
+            result = smooth(polyline, exc.max_steps)
+        outputs = [(args.output, write_points(result.output, schema))]
+        if args.svg:
+            outputs.append((args.svg, emit_svg(polyline, result.output)))
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    outputs = [(args.output, write_points(result.output, schema))]
-    if args.svg:
-        outputs.append((args.svg, emit_svg(polyline, result.output)))
     try:
         _write_all(outputs)
     except OSError as exc:

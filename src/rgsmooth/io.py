@@ -201,7 +201,8 @@ def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0,
     ``axes`` picks the two coordinate columns to plot (a projection for
     curves with more than two dimensions).  The original curve is drawn
     with a light stroke under the smoothed one, and a text annotation
-    reports the point-count reduction.
+    reports the point-count reduction.  Raises InvalidInputError when the
+    padded plot bounds or the flipped y coordinates overflow float64.
     """
     ax, ay = axes
     for poly, name in ((original, "original"), (smoothed, "smoothed")):
@@ -212,20 +213,25 @@ def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0,
 
     xs = np.concatenate([original.points[:, ax], smoothed.points[:, ax]])
     ys = np.concatenate([original.points[:, ay], smoothed.points[:, ay]])
-    x_lo, x_hi = _padded_bounds(xs.min(), xs.max())
-    y_lo, y_hi = _padded_bounds(ys.min(), ys.max())
-    width = x_hi - x_lo
-    height = y_hi - y_lo
-    stroke = 0.006 * max(width, height)
-
     # Flip y inside the fixed viewBox so data y increases upward.  The
     # bounds are summed first, as in y_lo + y_hi - y, to round the same.
-    flip = y_lo + y_hi
+    # Near the float64 limit the padded bounds or the flip overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_lo, x_hi = _padded_bounds(xs.min(), xs.max())
+        y_lo, y_hi = _padded_bounds(ys.min(), ys.max())
+        width = x_hi - x_lo
+        height = y_hi - y_lo
+        flipped = [y_lo + y_hi - poly.points[:, ay] for poly in (original, smoothed)]
+    bounds = [x_lo, x_hi, y_lo, y_hi, width, height]
+    if not (np.isfinite(bounds).all() and all(np.isfinite(f).all() for f in flipped)):
+        raise InvalidInputError("coordinates too large to plot: the SVG bounds overflow float64")
+    stroke = 0.006 * max(width, height)
 
-    def path(poly: Polyline) -> str:
-        # Formatted like _num; the last point's trailing space is cut.
-        columns = np.column_stack([poly.points[:, ax], flip - poly.points[:, ay]])
-        return _format_rows(columns, "%.6g,%.6g ")[:-1]
+    # Formatted like _num; the last point's trailing space is cut.
+    original_path, smoothed_path = (
+        _format_rows(np.column_stack([poly.points[:, ax], fy]), "%.6g,%.6g ")[:-1]
+        for poly, fy in zip((original, smoothed), flipped)
+    )
 
     removed = original.n_points - smoothed.n_points
     ratio = (1.0 - smoothed.n_points / original.n_points) * 100.0
@@ -236,9 +242,9 @@ def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0,
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{_num(x_lo)} {_num(y_lo)} {_num(width)} {_num(height)}">',
         f'<polyline fill="none" stroke="#b0c4de" stroke-width="{_num(stroke)}" '
-        f'points="{path(original)}"/>',
+        f'points="{original_path}"/>',
         f'<polyline fill="none" stroke="#1a1a2e" stroke-width="{_num(stroke)}" '
-        f'points="{path(smoothed)}"/>',
+        f'points="{smoothed_path}"/>',
         f'<text x="{_num(x_lo + 0.02 * width)}" y="{_num(y_lo + 0.07 * height)}" '
         f'font-family="sans-serif" font-size="{_num(font)}" fill="#1a1a2e">{label}</text>',
         "</svg>",

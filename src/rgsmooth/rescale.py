@@ -10,8 +10,13 @@ chain's index axis, where old tangent j occupies [j, j+1]:
 Weights are exact rationals.  For f = a/b (reduced) everything lives on
 the integer lattice of 1/b ticks: new segment k covers ticks
 [k*a, (k+1)*a), old segment j covers [j*b, (j+1)*b), and w(k, j) is the
-tick overlap divided by b.  No rational reduction is needed in the inner
-loop, and coefficient matrices are bit-reproducible.
+tick overlap divided by b.  Because 1 < f <= 2, row k meets at most three
+old segments, starting at first = k*a // b, with tick counts
+
+    c0 = (first+1)*b - k*a,   c1 = min(b, a - c0),   c2 = a - c0 - c1.
+
+No rational reduction is needed in the inner loop, and coefficient
+matrices are bit-reproducible.
 
 Integer factors are handled separately by :func:`rescale_integer`, which
 simply sums consecutive runs of tangents.  Fractional factors must lie in
@@ -76,21 +81,16 @@ class CoefficientMatrix:
         return dense
 
 
-def _as_fraction(factor) -> Fraction:
-    if isinstance(factor, Fraction):
-        return factor
-    if isinstance(factor, int):
-        return Fraction(factor)
-    raise InvalidScalingError(
-        f"merge factor must be an exact Fraction or int, got {type(factor).__name__}"
-    )
-
-
 def _check_fractional(factor) -> Fraction:
-    f = _as_fraction(factor)
-    if not Fraction(1) < f <= Fraction(2):
-        raise InvalidScalingError(f"merge factor must lie in (1, 2], got {f}")
-    return f
+    if isinstance(factor, int):
+        factor = Fraction(factor)
+    if not isinstance(factor, Fraction):
+        raise InvalidScalingError(
+            f"merge factor must be an exact Fraction or int, got {type(factor).__name__}"
+        )
+    if not Fraction(1) < factor <= Fraction(2):
+        raise InvalidScalingError(f"merge factor must lie in (1, 2], got {factor}")
+    return factor
 
 
 def _check_n_old(n_old: int) -> int:
@@ -110,26 +110,24 @@ def _n_new(n_old: int, num: int, den: int) -> int:
 
 
 def _lattice_rows(n_old: int, num: int, den: int):
-    """Tick geometry of every row, vectorized on the 1/den lattice.
+    """Tick counts of every row, in closed form on the 1/den lattice.
 
-    Returns (first, counts) where row k overlaps old segments
-    first[k], first[k]+1 (and first[k]+2 when counts[k, 2] > 0) with tick
-    counts counts[k].  Each row spans 2 or 3 old segments because the
-    factor num/den lies in (1, 2].
+    Row k covers ticks [start, start + num) with start = k*num, and its
+    first old segment is first = start // den.  Its ``num`` ticks fall
+    into at most three old segments:
+
+        c0 = (first+1)*den - start   the rest of segment ``first``
+        c1 = min(den, num - c0)      segment first+1, at most all of it
+        c2 = num - c0 - c1           segment first+2, often 0
+
+    c0 and c1 are at least 1 because num/den lies in (1, 2].  Returns
+    (first, counts) with counts[k] = (c0, c1, c2).
     """
-    n_new = _n_new(n_old, num, den)
-    k = np.arange(n_new, dtype=np.int64)
-    start = k * num
-    end = start + num
+    start = np.arange(_n_new(n_old, num, den), dtype=np.int64) * num
     first = start // den
-    last = (end - 1) // den
-    counts = np.zeros((n_new, 3), dtype=np.int64)
-    counts[:, 0] = (first + 1) * den - start
-    span = last - first  # 1 or 2
-    t_last = end - last * den
-    counts[:, 1] = np.where(span == 1, t_last, den)
-    counts[:, 2] = np.where(span == 2, t_last, 0)
-    return first, counts
+    c0 = (first + 1) * den - start
+    c1 = np.minimum(den, num - c0)
+    return first, np.stack([c0, c1, num - c0 - c1], axis=1)
 
 
 def overlap_coefficients(n_old: int, factor) -> CoefficientMatrix:
@@ -147,43 +145,32 @@ def overlap_coefficients(n_old: int, factor) -> CoefficientMatrix:
     """
     f = _check_fractional(factor)
     n_old = _check_n_old(n_old)
-    num, den = f.numerator, f.denominator
-    first, counts = _lattice_rows(n_old, num, den)
-    rows = []
-    for k in range(first.shape[0]):
-        j = int(first[k])
-        entries = [(j, Fraction(int(counts[k, 0]), den)), (j + 1, Fraction(int(counts[k, 1]), den))]
-        if counts[k, 2]:
-            entries.append((j + 2, Fraction(int(counts[k, 2]), den)))
-        rows.append(CoefficientRow(entries=tuple(entries)))
-    return CoefficientMatrix(rows=tuple(rows), n_old=n_old, n_new=len(rows), factor=f)
-
-
-def _apply_lattice(tangents: NDArray[np.float64], first, counts, den: int) -> NDArray[np.float64]:
-    """Multiply-accumulate of one pass; weights become floats here.
-
-    Each weight is rounded exactly once (counts / den is a correctly
-    rounded division) and terms are added in ascending old-index order,
-    so results are bit-reproducible.  The third term is only added where
-    a row really spans three old segments, keeping two-segment rows
-    bitwise identical to a plain pairwise sum.
-    """
-    w = counts / float(den)
-    out = w[:, 0:1] * tangents[first] + w[:, 1:2] * tangents[first + 1]
-    three = counts[:, 2] > 0
-    if three.any():
-        out[three] += w[three, 2:3] * tangents[first[three] + 2]
-    return out
+    den = f.denominator
+    first, counts = _lattice_rows(n_old, f.numerator, den)
+    rows = tuple(
+        CoefficientRow(entries=tuple((j + i, Fraction(c, den)) for i, c in enumerate(cs) if c))
+        for j, cs in zip(first.tolist(), counts.tolist())
+    )
+    return CoefficientMatrix(rows=rows, n_old=n_old, n_new=len(rows), factor=f)
 
 
 def _merge(tangents: NDArray[np.float64], num: int, den: int) -> NDArray[np.float64]:
     """Tangents after one pass at the factor ``num / den``, in (1, 2] and reduced.
 
-    The array kernel of :func:`rescale_fractional`, without the factor
-    check or the chain wrapper, for callers that have checked both.
+    The array kernel of :func:`rescale_fractional`, for callers that have
+    checked the factor.  Each weight is rounded once (counts / den) and
+    terms are added in ascending old-index order, so results are
+    bit-reproducible.  The third term is added only where a row spans
+    three old segments, so two-segment rows are a plain pairwise sum.
     """
     first, counts = _lattice_rows(tangents.shape[0], num, den)
-    return _apply_lattice(tangents, first, counts, den)
+    w = counts / float(den)
+    out = w[:, 0:1] * tangents[first]
+    out += w[:, 1:2] * tangents[first + 1]
+    three = counts[:, 2] > 0
+    if three.any():
+        out[three] += w[three, 2:3] * tangents[first[three] + 2]
+    return out
 
 
 def rescale_fractional(chain: TangentChain, factor) -> TangentChain:

@@ -1,16 +1,27 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import os
 import re
 import stat
 import subprocess
 import sys
+import tempfile
+from operator import neg
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from rgsmooth import InvalidInputError, read_points, smooth, write_points
+from rgsmooth import InvalidInputError, Polyline, read_points, smooth, write_points
 from rgsmooth.cli import generate_points, main
+
+# Magnitudes from the smallest subnormal to near the largest float.
+_MAGNITUDES = st.floats(5e-324, 1.7e308)
 
 
 def noisy_input(tmp_path):
@@ -111,15 +122,24 @@ class TestSmoothCommand:
         assert code == 3
         assert "at most 1" in capsys.readouterr().err
 
-    def test_clamp_allows_oversized_steps(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "amount, code",
+        [(["--steps", "5", "--clamp"], 0), (["--target-cr", "99", "--clamp"], 0),
+         (["--target-cr", "99"], 3)],
+        ids=["steps", "target-cr", "target-cr-unclamped"],
+    )
+    def test_clamp_allows_oversized_steps(self, tmp_path, capsys, amount, code):
         src = tmp_path / "in.csv"
         dst = tmp_path / "out.csv"
         src.write_text("0,0\n1,1\n2,0\n")
-        code = main(["smooth", "--input", str(src), "--output", str(dst),
-                     "--steps", "5", "--clamp"])
-        assert code == 0
-        assert "clamping" in capsys.readouterr().err
-        assert len(dst.read_text().splitlines()) == 2
+        assert main(["smooth", "--input", str(src), "--output", str(dst), *amount]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "warning: clamping to the maximum of 1 steps\n"
+            assert len(dst.read_text().splitlines()) == 2
+        else:
+            assert "unreachable" in err
+            assert not dst.exists()
 
     def test_bad_delimiter_exit_2(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -162,6 +182,42 @@ class TestSmoothCommand:
         assert run.returncode == 2
         assert run.stderr == "error: coordinates overflowed float64 while smoothing\n"
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "content, steps",
+        [(b"0,1.7e308\n1,1.6e308\n2,1.75e308\n3,1e308\n", "1"), (b"-1e308,0\n1e308,1\n", "0")],
+        ids=["flipped-y", "x-bounds"],
+    )
+    def test_svg_overflow_exit_2_one_line(self, tmp_path, content, steps):
+        src = tmp_path / "in.csv"
+        src.write_bytes(content)
+        run = run_cli("smooth", "--input", str(src), "--output", str(tmp_path / "o.csv"),
+                      "--steps", steps, "--svg", str(tmp_path / "p.svg"))
+        assert run.returncode == 2
+        assert run.stderr == "error: coordinates too large to plot: the SVG bounds overflow float64\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(lambda n: st.tuples(
+            arrays(np.float64, (n, 2), elements=st.just(0.0) | _MAGNITUDES | _MAGNITUDES.map(neg)),
+            st.integers(0, n - 2),
+        ))
+    )
+    def test_extreme_magnitudes_exit_0_or_2_with_finite_output(self, case):
+        # In process, so that the "error" warning filter turns any numpy
+        # RuntimeWarning into a failure.
+        points, steps = case
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+            src, dst, svg = (Path(tmp, name) for name in ("in.csv", "o.csv", "p.svg"))
+            src.write_bytes(write_points(Polyline(points)))
+            code = main(["smooth", "--input", str(src), "--output", str(dst), "--steps", str(steps),
+                         "--svg", str(svg)])
+            written = [path.read_text() for path in (dst, svg) if path.exists()]
+        assert code == 0 if np.abs(points).max() < 1e300 else code in (0, 2)
+        assert err.getvalue().count("\n") == (code != 0)
+        assert len(written) == (2 if code == 0 else 0)
+        assert not any(re.search(r"\b(inf|nan)\b", text) for text in written)
 
     def test_missing_input_exit_1(self, tmp_path):
         code = main(["smooth", "--input", str(tmp_path / "absent.csv"),

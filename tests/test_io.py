@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -226,19 +227,32 @@ class TestWritersMatchElementwise:
             assert read_points(data, schema).points.tobytes() == poly.points.tobytes()
 
     def test_emit_svg_points(self, points):
-        original = Polyline(points)
-        smoothed = Polyline(points[::2])
-        for ax, ay in ((0, 1), (0, 2), (2, 0)):
-            ys = np.concatenate([points[:, ay], smoothed.points[:, ay]])
-            with np.errstate(over="ignore", invalid="ignore"):
-                svg = emit_svg(original, smoothed, axes=(ax, ay)).decode()
-                y_lo, y_hi = _padded_bounds(ys.min(), ys.max())
-                for poly in (original, smoothed):
-                    expected = " ".join(
-                        f"{float(p[ax]):.6g},{float(y_lo + y_hi - p[ay]):.6g}"
-                        for p in poly.points
-                    )
-                    assert f'points="{expected}"' in svg
+        # Near the float64 limit the padded bounds or the flipped y overflow,
+        # and emit_svg must raise instead; without those rows the data plots.
+        for pts in (points, points[(np.abs(points) < 1e300).all(axis=1)]):
+            original = Polyline(pts)
+            smoothed = Polyline(pts[::2])
+            for ax, ay in ((0, 1), (0, 2), (2, 0)):
+                xs = np.concatenate([pts[:, ax], smoothed.points[:, ax]])
+                ys = np.concatenate([pts[:, ay], smoothed.points[:, ay]])
+                with np.errstate(over="ignore", invalid="ignore"):
+                    x_lo, x_hi = _padded_bounds(xs.min(), xs.max())
+                    y_lo, y_hi = _padded_bounds(ys.min(), ys.max())
+                    sizes = [x_hi - x_lo, y_hi - y_lo]
+                    expected = [
+                        " ".join(
+                            f"{float(p[ax]):.6g},{float(y_lo + y_hi - p[ay]):.6g}"
+                            for p in poly.points
+                        )
+                        for poly in (original, smoothed)
+                    ]
+                if np.isfinite(sizes).all() and not re.search("inf|nan", "".join(expected)):
+                    svg = emit_svg(original, smoothed, axes=(ax, ay)).decode()
+                    for path in expected:
+                        assert f'points="{path}"' in svg
+                else:
+                    with pytest.raises(InvalidInputError, match="too large to plot"):
+                        emit_svg(original, smoothed, axes=(ax, ay))
 
 
 def curve_pair():

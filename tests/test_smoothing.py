@@ -382,3 +382,21 @@ class TestExactReferenceAndInvariants:
         first = data.draw(st.integers(0, steps))
         split = smooth(smooth(Polyline(pts), first).output, steps - first).output.points
         assert np.abs(split - out).max() <= 3 * error_bound(pts)
+
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_s_pass_weights_form_a_centred_window(self, n):
+        # smooth is linear and acts on each axis alone, so smoothing the
+        # identity gives the exact weight matrix W of s passes: output point
+        # k is sum_j W[k][j] * P[j].  smooth's own matrix is W up to rounding.
+        N = n - 1
+        for s in range(1, n - 1):
+            W = exact_smooth(np.eye(n), s)
+            out = smooth(Polyline(np.eye(n)), s).output.points
+            assert np.abs(out - np.array(W, dtype=np.float64)).max() <= error_bound(np.eye(n))
+            for k, row in enumerate(W):
+                assert all(w >= 0 for w in row)
+                assert sum(row) == 1
+                assert sum(j * w for j, w in enumerate(row)) == Fraction(k * N, N - s)
+                support = [j for j, w in enumerate(row) if w]
+                assert support == list(range(support[0], support[-1] + 1))
+                assert len(support) <= s + 1
