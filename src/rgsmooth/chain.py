@@ -85,12 +85,7 @@ class TangentChain:
     tangents: NDArray[np.float64]
 
     def __post_init__(self):
-        base = np.atleast_1d(np.array(self.base, dtype=np.float64))
-        if base.ndim != 1:
-            raise InvalidInputError(f"chain base must be a single point, got a {base.ndim}-D array")
-        if not np.isfinite(base).all():
-            raise InvalidInputError("chain base contains non-finite coordinates")
-        base.setflags(write=False)
+        base = _as_point_array([self.base], 1, "chain base")[0]
         tangents = _as_point_array(self.tangents, 1, "chain tangents")
         if tangents.shape[1] != base.shape[0]:
             raise InvalidInputError(

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 I/O failure, 2 invalid input or parse failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -42,12 +43,15 @@ def generate_points(kind: str, n_points: int, x_max: float, sigma: float, seed: 
         raise InvalidInputError(f"unknown generator kind {kind!r}")
     if n_points < 2:
         raise InvalidInputError(f"need at least 2 points, got {n_points}")
-    if not x_max > 0:
-        raise InvalidInputError(f"x-max must be positive, got {x_max}")
-    if sigma < 0:
-        raise InvalidInputError(f"sigma must be non-negative, got {sigma}")
+    if not 0 < x_max < math.inf:
+        raise InvalidInputError(f"x-max must be positive and finite, got {x_max}")
+    if not 0 <= sigma < math.inf:
+        raise InvalidInputError(f"sigma must be non-negative and finite, got {sigma}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     x = np.linspace(0.0, x_max, n_points)
-    y = np.sin(x) + np.random.default_rng(seed).normal(0.0, sigma, n_points)
+    # abs() turns a sigma of -0.0, which numpy's normal() rejects, into 0.0.
+    y = np.sin(x) + np.random.default_rng(seed).normal(0.0, abs(sigma), n_points)
     return Polyline(np.column_stack([x, y]))
 
 
@@ -95,46 +99,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_smooth(args) -> int:
+    schema = CsvSchema(delimiter=args.delimiter, has_header=args.header)
     try:
-        schema = CsvSchema(delimiter=args.delimiter, has_header=args.header)
         with open(args.input, "rb") as fh:
             polyline = read_points(fh, schema)
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
     if args.svg and polyline.dimension < 2:
-        print("error: SVG overlay requires at least 2 coordinate columns", file=sys.stderr)
-        return EXIT_INVALID
+        raise InvalidInputError("SVG overlay requires at least 2 coordinate columns")
 
     try:
-        try:
-            if args.target_cr is not None:
-                result = smooth_to_ratio(polyline, args.target_cr)
-            else:
-                steps = polyline.n_segments - 1 if args.steps == "max" else args.steps
-                result = smooth(polyline, steps)
-        except TooManyStepsError as exc:
-            if not args.clamp:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_TOO_MANY_STEPS
-            print(f"warning: clamping to the maximum of {exc.max_steps} steps", file=sys.stderr)
-            result = smooth(polyline, exc.max_steps)
-        outputs = [(args.output, write_points(result.output, schema))]
-        if args.svg:
-            outputs.append((args.svg, emit_svg(polyline, result.output)))
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    try:
-        _write_all(outputs)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if args.target_cr is not None:
+            result = smooth_to_ratio(polyline, args.target_cr)
+        else:
+            steps = polyline.n_segments - 1 if args.steps == "max" else args.steps
+            result = smooth(polyline, steps)
+    except TooManyStepsError as exc:
+        if not args.clamp:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_TOO_MANY_STEPS
+        print(f"warning: clamping to the maximum of {exc.max_steps} steps", file=sys.stderr)
+        result = smooth(polyline, exc.max_steps)
+    outputs = [(args.output, write_points(result.output, schema))]
+    if args.svg:
+        outputs.append((args.svg, emit_svg(polyline, result.output)))
+    _write_all(outputs)
 
     if args.trace:
         for rec in result.trace:
@@ -143,20 +134,11 @@ def run_smooth(args) -> int:
 
 
 def run_generate(args) -> int:
-    try:
-        polyline = generate_points(args.kind, args.n, args.x_max, args.sigma, args.seed)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    data = write_points(polyline)
-    try:
-        if args.output:
-            _write_all([(args.output, data)])
-        else:
-            sys.stdout.buffer.write(data)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    data = write_points(generate_points(args.kind, args.n, args.x_max, args.sigma, args.seed))
+    if args.output:
+        _write_all([(args.output, data)])
+    else:
+        sys.stdout.buffer.write(data)
     return EXIT_OK
 
 
@@ -172,24 +154,28 @@ def _write_all(outputs: list[tuple[str, bytes]]) -> None:
     staged = []
     for i, (path, data) in enumerate(outputs):
         if os.path.exists(path) and not os.path.isfile(path):
-            staged.append((None, path, data))
+            staged.append((path, None, path, data))
         else:
             target = os.path.realpath(path)
             head, tail = os.path.split(target)
-            staged.append((os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp"), target, data))
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
+            staged.append((path, tmp, target, data))
     try:
-        for tmp, _, data in staged:
+        for path, tmp, _, data in staged:
             if tmp is not None:
                 with open(tmp, "wb") as fh:
                     fh.write(data)
-        for tmp, path, data in staged:
+        for path, tmp, target, data in staged:
             if tmp is not None:
-                os.replace(tmp, path)
+                os.replace(tmp, target)
             else:
-                with open(path, "wb") as fh:
+                with open(target, "wb") as fh:
                     fh.write(data)
+    except OSError as exc:
+        # Name the file the user asked for, not its temporary file.
+        raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
-        for tmp, _, _ in staged:
+        for _, tmp, _, _ in staged:
             if tmp is not None and os.path.exists(tmp):
                 os.remove(tmp)
 
@@ -204,7 +190,15 @@ def _trace_line(rec) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        # run_smooth reports a failed read itself, so what reaches here is a write.
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -72,6 +72,11 @@ class TestTangentChain:
         with pytest.raises(InvalidInputError):
             TangentChain(base=(0.0,), tangents=np.empty((0, 1)))
 
+    @pytest.mark.parametrize("base", ["abc", [[1], [2, 3]]], ids=["non-numeric", "ragged"])
+    def test_malformed_base_rejected(self, base):
+        with pytest.raises(InvalidInputError):
+            TangentChain(base=base, tangents=[(1.0, 0.0)])
+
     def test_zero_tangents_allowed(self):
         c = TangentChain(base=(0.0,), tangents=[(0.0,), (0.0,)])
         assert c.n_segments == 2

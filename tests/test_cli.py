@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 import os
 import re
 import stat
@@ -22,6 +23,8 @@ from rgsmooth.cli import generate_points, main
 
 # Magnitudes from the smallest subnormal to near the largest float.
 _MAGNITUDES = st.floats(5e-324, 1.7e308)
+# Any float, with the edge values always in the draw.
+_GENERATE_FLOATS = st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]) | st.floats()
 
 
 def noisy_input(tmp_path):
@@ -63,6 +66,8 @@ class TestGeneratePoints:
             generate_points("sine-noise", 10, 20.0, -0.1, seed=1)
         with pytest.raises(InvalidInputError):
             generate_points("square-noise", 10, 20.0, 0.1, seed=1)
+        with pytest.raises(InvalidInputError):
+            generate_points("sine-noise", 10, 20.0, 0.1, seed=-1)
 
 
 class TestSmoothCommand:
@@ -237,10 +242,14 @@ class TestSmoothCommand:
 
     def test_failed_svg_write_leaves_no_csv(self, tmp_path, capsys):
         src = noisy_input(tmp_path)
+        svg = tmp_path / "absent" / "plot.svg"
         code = main(["smooth", "--input", str(src), "--output", str(tmp_path / "out.csv"),
-                     "--steps", "10", "--svg", str(tmp_path / "absent" / "plot.svg")])
+                     "--steps", "10", "--svg", str(svg)])
         assert code == 1
-        assert "cannot write output" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cannot write output" in err
+        assert repr(str(svg)) in err
+        assert ".tmp" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
     def test_symlinked_output_keeps_link(self, tmp_path):
@@ -308,3 +317,16 @@ class TestGenerateCommand:
 
     def test_bad_n_exit_2(self, capsys):
         assert main(["generate", "--n", "1", "--seed", "3"]) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-3, 40), st.integers(-5, 2**64), _GENERATE_FLOATS, _GENERATE_FLOATS)
+    def test_any_parameters_exit_0_or_2_one_line(self, n, seed, sigma, x_max):
+        # In process, so that the "error" warning filter turns any numpy
+        # RuntimeWarning into a failure.  The "=" form keeps "-inf" a value.
+        out = io.TextIOWrapper(io.BytesIO())
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["generate", f"--n={n}", f"--seed={seed}", f"--sigma={sigma!r}",
+                         f"--x-max={x_max!r}"])
+        assert code in (0, 2)
+        assert err.getvalue().count("\n") == (code == 2)
+        assert "Traceback" not in err.getvalue()

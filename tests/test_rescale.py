@@ -77,6 +77,16 @@ class TestOverlapCoefficients:
         with pytest.raises(ChainTooShortError):
             overlap_coefficients(1, Fraction(4, 3))
 
+    def test_driver_factor_rows_span_two_segments(self):
+        # The closed form a two-term pass kernel relies on: at m / (m - 1),
+        # row k weighs old segments k and k + 1 by (m-1-k)/(m-1) and (k+1)/(m-1).
+        for m in range(2, 301):
+            rows = entries(overlap_coefficients(m, Fraction(m, m - 1)))
+            assert rows == [
+                ((k, Fraction(m - 1 - k, m - 1)), (k + 1, Fraction(k + 1, m - 1)))
+                for k in range(m - 1)
+            ]
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=1, max_value=40), factor_strategy)
     def test_row_sums_equal_factor(self, n_old, factor):
