@@ -14,13 +14,7 @@ import sys
 import numpy as np
 
 from .chain import Polyline
-from .errors import (
-    ChainTooShortError,
-    InvalidInputError,
-    InvalidScalingError,
-    ParseError,
-    TooManyStepsError,
-)
+from .errors import InvalidInputError, TooManyStepsError
 from .io import CsvSchema, emit_svg, read_points, write_points
 from .smoothing import smooth, smooth_to_ratio
 
@@ -28,8 +22,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INVALID = 2
 EXIT_TOO_MANY_STEPS = 3
-
-_INPUT_ERRORS = (ParseError, InvalidInputError, InvalidScalingError, ChainTooShortError)
 
 
 def generate_points(kind: str, n_points: int, x_max: float, sigma: float, seed: int) -> Polyline:
@@ -163,7 +155,12 @@ def _write_all(outputs: list[tuple[str, bytes]]) -> None:
     try:
         for path, tmp, _, data in staged:
             if tmp is not None:
-                with open(tmp, "wb") as fh:
+                try:
+                    fh = open(tmp, "wb")
+                except OSError as exc:
+                    reason = f"cannot create a temporary file beside it ({exc.strerror})"
+                    raise OSError(exc.errno, reason) from exc
+                with fh:
                     fh.write(data)
         for path, tmp, target, data in staged:
             if tmp is not None:
@@ -192,7 +189,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

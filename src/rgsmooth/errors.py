@@ -5,11 +5,11 @@ class InvalidInputError(ValueError):
     """Input data violates a precondition (size, shape, or finiteness)."""
 
 
-class InvalidScalingError(ValueError):
+class InvalidScalingError(InvalidInputError):
     """Merge factor lies outside the supported range."""
 
 
-class ChainTooShortError(ValueError):
+class ChainTooShortError(InvalidInputError):
     """Chain has too few segments for the requested operation."""
 
 
@@ -24,7 +24,7 @@ class TooManyStepsError(ValueError):
         self.max_steps = max_steps
 
 
-class ParseError(ValueError):
+class ParseError(InvalidInputError):
     """Text input could not be parsed as numeric points.
 
     ``row`` and ``column`` are 1-based positions of the offending cell;

@@ -16,7 +16,7 @@ import csv
 import dataclasses
 import io as _stdio
 import math
-import warnings
+import re
 
 import numpy as np
 
@@ -30,6 +30,8 @@ _BLOCK_ROWS = 4096
 # quoted field for csv.reader, and np.loadtxt strips the separators
 # \x1c-\x1f from numbers as whitespace where float() rejects them.
 _ROW_PARSER_ONLY = '"\x1c\x1d\x1e\x1f'
+
+_NON_SPACE = re.compile(r"\S")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,31 +96,31 @@ def _parse_fast(text: str, schema: CsvSchema) -> np.ndarray | None:
 
     It declines text holding a character of _ROW_PARSER_ONLY or a bare CR
     (``csv.reader`` rejects a bare CR inside a row, loadtxt ends the row
-    there), and any input that loadtxt rejects or warns about, that has
-    fewer than 2 rows, or that holds a non-finite value.
+    there), text with nothing but whitespace after the header line (the
+    one input loadtxt warns about), and any input that loadtxt rejects,
+    that has fewer than 2 rows, or that holds a non-finite value.
     """
     if any(c in text for c in _ROW_PARSER_ONLY) or (
         "\r" in text and text.count("\r") != text.count("\r\n")
     ):
         return None
+    start = text.find("\n") + 1 if schema.has_header else 0
+    if (schema.has_header and not start) or not _NON_SPACE.search(text, start):
+        return None
     try:
-        # Warnings are recorded rather than raised: the filter is process-wide,
-        # and an "error" filter would raise in other threads too.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            points = np.loadtxt(
-                _stdio.StringIO(text),
-                dtype=np.float64,
-                delimiter=schema.delimiter,
-                comments=None,
-                quotechar=None,
-                usecols=schema.columns,
-                skiprows=int(schema.has_header),
-                ndmin=2,
-            )
+        points = np.loadtxt(
+            _stdio.StringIO(text),
+            dtype=np.float64,
+            delimiter=schema.delimiter,
+            comments=None,
+            quotechar=None,
+            usecols=schema.columns,
+            skiprows=int(schema.has_header),
+            ndmin=2,
+        )
     except (ValueError, TypeError):
         return None
-    if caught or len(points) < 2 or not np.isfinite(points).all():
+    if len(points) < 2 or not np.isfinite(points).all():
         return None
     return points
 

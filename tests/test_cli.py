@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import contextlib
+import errno
 import io
 import math
 import os
@@ -18,7 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rgsmooth import InvalidInputError, Polyline, read_points, smooth, write_points
+from rgsmooth import (
+    ChainTooShortError,
+    InvalidInputError,
+    InvalidScalingError,
+    ParseError,
+    Polyline,
+    TooManyStepsError,
+    read_points,
+    smooth,
+    write_points,
+)
 from rgsmooth.cli import generate_points, main
 
 # Magnitudes from the smallest subnormal to near the largest float.
@@ -300,6 +311,15 @@ class TestSmoothCommand:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "error, exit_2",
+    [(ParseError, True), (InvalidScalingError, True), (ChainTooShortError, True),
+     (TooManyStepsError, False)],
+)
+def test_exit_2_errors_share_one_base(error, exit_2):
+    assert issubclass(error, InvalidInputError) == exit_2
+
+
 class TestGenerateCommand:
     def test_stdout_deterministic(self):
         args = ["generate", "--kind", "sine-noise", "--n", "31", "--x-max", "20",
@@ -314,6 +334,24 @@ class TestGenerateCommand:
         assert main(["generate", "--n", "11", "--seed", "3", "--output", str(out)]) == 0
         polyline = read_points(out.read_bytes())
         assert polyline.n_points == 11
+
+    def test_uncreatable_temporary_file_named_as_such(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"keep\n")
+
+        def refuse_temporary_files(path, *args, **kwargs):
+            if str(path).endswith(".tmp"):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, *args, **kwargs)
+
+        # Patched, not made with directory modes, because root ignores those.
+        monkeypatch.setattr("rgsmooth.cli.open", refuse_temporary_files, raising=False)
+        assert main(["generate", "--n", "5", "--output", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot write output: [Errno 13] cannot create a temporary file "
+            f"beside it (Permission denied): {str(target)!r}\n"
+        )
+        assert target.read_bytes() == b"keep\n"
 
     def test_bad_n_exit_2(self, capsys):
         assert main(["generate", "--n", "1", "--seed", "3"]) == 2

@@ -3,6 +3,8 @@
 import io
 import itertools
 import re
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -165,12 +167,57 @@ def _outcome(parse):
 @example(("x\ry\n0,1\n1,2\n", CsvSchema(has_header=True)))  # bare CR in the header
 @example(('"x\n0,1\n1,2\n', CsvSchema(has_header=True)))  # header opens a quoted field
 @example(('"a,0\n",1\n2,3\n', CsvSchema(columns=(1,))))  # quoted newline, unused column
+@example(("", CsvSchema()))  # nothing but whitespace, with or without a header line
+@example(("\n\n", CsvSchema()))
+@example(("x\n", CsvSchema(has_header=True)))
+@example(("x\n\n\n", CsvSchema(has_header=True)))
+@example(("x", CsvSchema(has_header=True)))
 def test_fast_read_matches_row_parser(case):
     text, schema = case
     data = text.encode("utf-8")
     fast = _outcome(lambda: read_points(data, schema).points)
     rows = _outcome(lambda: Polyline(_parse_rows(_decode(data), schema)).points)
     assert fast == rows
+
+
+def test_concurrent_reads_leave_warning_state_alone(monkeypatch):
+    # Each np.loadtxt call blocks on its own event, so both threads are
+    # inside the fast parse at once and then leave it in a fixed order.
+    loadtxt = np.loadtxt
+    entered = [threading.Event(), threading.Event()]
+    release = [threading.Event(), threading.Event()]
+    calls = itertools.count()
+
+    def blocking_loadtxt(*args, **kwargs):
+        i = next(calls)
+        entered[i].set()
+        release[i].wait(timeout=10)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", blocking_loadtxt)
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(read_points("0,1\n1,2\n").points))
+        for _ in range(2)
+    ]
+    # The test's own catch_warnings restores whatever a failure leaves behind.
+    with warnings.catch_warnings():
+        filters, show = list(warnings.filters), warnings._showwarnmsg_impl
+        try:
+            for thread, event in zip(threads, entered):
+                thread.start()
+                assert event.wait(timeout=10)
+            for thread, event in zip(threads, release):
+                event.set()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+        finally:
+            for event in release:
+                event.set()
+        assert warnings.filters == filters
+        assert warnings._showwarnmsg_impl is show
+    assert len(results) == 2
+    assert all(np.array_equal(points, [(0, 1), (1, 2)]) for points in results)
 
 
 class TestWritePoints:
