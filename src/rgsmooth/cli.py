@@ -138,15 +138,15 @@ def _write_all(outputs: list[tuple[str, bytes]]) -> None:
     """Write every (path, data) pair, or none of them on an OSError.
 
     Each file is written in full to a hidden temporary file beside its
-    target, and the temporary files replace their targets only once all
-    of them are complete.  A symlink is followed, so the link stays and
-    its file is replaced.  An existing target that is not a regular file
-    (/dev/null, /dev/stdout) is written directly after that.
+    target.  Then each existing target that is not a regular file
+    (/dev/null, /dev/stdout) is written directly, and only after all of
+    these writes the temporary files replace their targets.  A symlink is
+    followed, so the link stays and its file is replaced.
     """
-    staged = []
+    staged, direct = [], []
     for i, (path, data) in enumerate(outputs):
         if os.path.exists(path) and not os.path.isfile(path):
-            staged.append((path, None, path, data))
+            direct.append((path, data))
         else:
             target = os.path.realpath(path)
             head, tail = os.path.split(target)
@@ -154,26 +154,24 @@ def _write_all(outputs: list[tuple[str, bytes]]) -> None:
             staged.append((path, tmp, target, data))
     try:
         for path, tmp, _, data in staged:
-            if tmp is not None:
-                try:
-                    fh = open(tmp, "wb")
-                except OSError as exc:
-                    reason = f"cannot create a temporary file beside it ({exc.strerror})"
-                    raise OSError(exc.errno, reason) from exc
-                with fh:
-                    fh.write(data)
-        for path, tmp, target, data in staged:
-            if tmp is not None:
-                os.replace(tmp, target)
-            else:
-                with open(target, "wb") as fh:
-                    fh.write(data)
+            try:
+                fh = open(tmp, "wb")
+            except OSError as exc:
+                reason = f"cannot create a temporary file beside it ({exc.strerror})"
+                raise OSError(exc.errno, reason) from exc
+            with fh:
+                fh.write(data)
+        for path, data in direct:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        for path, tmp, target, _ in staged:
+            os.replace(tmp, target)
     except OSError as exc:
         # Name the file the user asked for, not its temporary file.
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
         for _, tmp, _, _ in staged:
-            if tmp is not None and os.path.exists(tmp):
+            if os.path.exists(tmp):
                 os.remove(tmp)
 
 

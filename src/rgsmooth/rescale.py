@@ -15,7 +15,9 @@ old segments, starting at first = k*a // b, with tick counts
 
     c0 = (first+1)*b - k*a,   c1 = min(b, a - c0),   c2 = a - c0 - c1.
 
-No rational reduction is needed in the inner loop, and coefficient
+A third term needs a - b > 1: with a = b + 1, c0 >= 1 gives a - c0 <= b,
+so c1 = a - c0 and c2 = 0, and the smoothing driver's factor m/(m-1)
+never has one.  No rational reduction is needed, and coefficient
 matrices are bit-reproducible.
 
 Integer factors are handled separately by :func:`rescale_integer`, which
@@ -120,14 +122,13 @@ def _lattice_rows(n_old: int, num: int, den: int):
         c1 = min(den, num - c0)      segment first+1, at most all of it
         c2 = num - c0 - c1           segment first+2, often 0
 
-    c0 and c1 are at least 1 because num/den lies in (1, 2].  Returns
-    (first, counts) with counts[k] = (c0, c1, c2).
+    c0 and c1 are at least 1 because num/den lies in (1, 2].  Returns the
+    arrays (first, c0, c1); callers that need c2 derive it.
     """
     start = np.arange(_n_new(n_old, num, den), dtype=np.int64) * num
     first = start // den
     c0 = (first + 1) * den - start
-    c1 = np.minimum(den, num - c0)
-    return first, np.stack([c0, c1, num - c0 - c1], axis=1)
+    return first, c0, np.minimum(den, num - c0)
 
 
 def overlap_coefficients(n_old: int, factor) -> CoefficientMatrix:
@@ -145,11 +146,11 @@ def overlap_coefficients(n_old: int, factor) -> CoefficientMatrix:
     """
     f = _check_fractional(factor)
     n_old = _check_n_old(n_old)
-    den = f.denominator
-    first, counts = _lattice_rows(n_old, f.numerator, den)
+    num, den = f.numerator, f.denominator
+    first, c0, c1 = _lattice_rows(n_old, num, den)
     rows = tuple(
         CoefficientRow(entries=tuple((j + i, Fraction(c, den)) for i, c in enumerate(cs) if c))
-        for j, cs in zip(first.tolist(), counts.tolist())
+        for j, *cs in zip(first.tolist(), c0.tolist(), c1.tolist(), (num - c0 - c1).tolist())
     )
     return CoefficientMatrix(rows=rows, n_old=n_old, n_new=len(rows), factor=f)
 
@@ -158,18 +159,19 @@ def _merge(tangents: NDArray[np.float64], num: int, den: int) -> NDArray[np.floa
     """Tangents after one pass at the factor ``num / den``, in (1, 2] and reduced.
 
     The array kernel of :func:`rescale_fractional`, for callers that have
-    checked the factor.  Each weight is rounded once (counts / den) and
+    checked the factor.  Each weight is rounded once (count / den) and
     terms are added in ascending old-index order, so results are
-    bit-reproducible.  The third term is added only where a row spans
-    three old segments, so two-segment rows are a plain pairwise sum.
+    bit-reproducible.  Only factors with num - den > 1 build the mask of
+    rows with c2 > 0; at num - den == 1 every row is a pairwise sum.
     """
-    first, counts = _lattice_rows(tangents.shape[0], num, den)
-    w = counts / float(den)
-    out = w[:, 0:1] * tangents[first]
-    out += w[:, 1:2] * tangents[first + 1]
-    three = counts[:, 2] > 0
-    if three.any():
-        out[three] += w[three, 2:3] * tangents[first[three] + 2]
+    first, c0, c1 = _lattice_rows(tangents.shape[0], num, den)
+    out = (c0 / float(den))[:, None] * tangents[first]
+    first += 1
+    out += (c1 / float(den))[:, None] * tangents[first]
+    if num - den > 1:
+        c2 = num - c0 - c1
+        three = c2 > 0
+        out[three] += (c2[three] / float(den))[:, None] * tangents[first[three] + 1]
     return out
 
 

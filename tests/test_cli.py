@@ -263,6 +263,23 @@ class TestSmoothCommand:
         assert ".tmp" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
+    def test_failed_direct_write_replaces_no_output(self, tmp_path, capsys):
+        # A target that is not a regular file is written before any
+        # temporary file replaces its target.
+        src = noisy_input(tmp_path)
+        dst = tmp_path / "out.csv"
+        dst.write_text("old")
+        svg = tmp_path / "plot.svg"
+        svg.mkdir()
+        code = main(["smooth", "--input", str(src), "--output", str(dst),
+                     "--steps", "1", "--svg", str(svg)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and repr(str(svg)) in err[0]
+        assert dst.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.csv", "plot.svg"]
+        assert list(svg.iterdir()) == []
+
     def test_symlinked_output_keeps_link(self, tmp_path):
         src = noisy_input(tmp_path)
         (tmp_path / "real.csv").write_bytes(b"stale\n")

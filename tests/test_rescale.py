@@ -1,5 +1,6 @@
 """Tests for overlap coefficients and one-pass rescaling."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -210,6 +211,23 @@ class TestRescaleFractional:
         np.testing.assert_allclose(
             out.tangents.sum(axis=0), t.sum(axis=0), rtol=1e-13, atol=0
         )
+
+    def test_bit_identical_to_exact_weights_summed_in_order(self):
+        # Each weight is rounded once and a row's terms are added in
+        # ascending old index, for rows of two segments and of three.
+        rng = np.random.default_rng(9)
+        for f in reduced_factors():
+            for n_old in range(1, 41):
+                if (n_old * f.denominator) // f.numerator < 1:
+                    continue
+                t = rng.choice([-1.0, 1.0], size=(n_old, 2)) * 10.0 ** rng.uniform(-5, 5, (n_old, 2))
+                rows = overlap_coefficients(n_old, f).rows
+                expected = np.array(
+                    [functools.reduce(np.add, [float(w) * t[j] for j, w in row.entries])
+                     for row in rows]
+                )
+                out = rescale_fractional(TangentChain(np.zeros(2), t), f).tangents
+                assert out.tobytes() == expected.tobytes(), (n_old, f)
 
     def test_propagates_validation_errors(self):
         chain = TangentChain(base=(0.0,), tangents=np.ones((4, 1)))
