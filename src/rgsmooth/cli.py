@@ -92,6 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_smooth(args) -> int:
     schema = CsvSchema(delimiter=args.delimiter, has_header=args.header)
+    if args.svg:
+        # One regular file cannot hold both outputs; a device such as
+        # /dev/null can take both.
+        target = os.path.realpath(args.output)
+        if target == os.path.realpath(args.svg) and (
+            os.path.isfile(target) or not os.path.exists(target)
+        ):
+            raise InvalidInputError(f"--output and --svg name the same file: {target}")
     try:
         with open(args.input, "rb") as fh:
             polyline = read_points(fh, schema)

@@ -20,7 +20,7 @@ import re
 
 import numpy as np
 
-from .chain import Polyline
+from .chain import Polyline, _as_int
 from .errors import InvalidInputError, ParseError
 
 # Rows per formatting block in write_points and emit_svg.
@@ -33,13 +33,19 @@ _ROW_PARSER_ONLY = '"\x1c\x1d\x1e\x1f'
 
 _NON_SPACE = re.compile(r"\S")
 
+# Characters a delimiter may not be: those of a written float (repr gives
+# forms such as 1e+16 and -1e-05) and the line ending characters.
+_NOT_DELIMITERS = "0123456789.+-e\r\n"
+
 
 @dataclasses.dataclass(frozen=True)
 class CsvSchema:
     """How to interpret a CSV point file.
 
     ``columns`` selects which 0-based columns are coordinates (None means
-    all columns, in order).  ``has_header`` skips the first row.
+    all columns, in order).  ``has_header`` skips the first row.  The
+    delimiter is one character that cannot occur in a written float or
+    end a row, so that writing and reading back is lossless.
     """
 
     delimiter: str = ","
@@ -49,8 +55,14 @@ class CsvSchema:
     def __post_init__(self):
         if len(self.delimiter) != 1:
             raise InvalidInputError(f"delimiter must be a single character, got {self.delimiter!r}")
+        if self.delimiter in _NOT_DELIMITERS:
+            raise InvalidInputError(
+                f"delimiter {self.delimiter!r} can occur in a number or end a row; "
+                f"it may not be any of {_NOT_DELIMITERS!r}"
+            )
         if self.columns is not None:
-            object.__setattr__(self, "columns", tuple(self.columns))
+            columns = tuple(_as_int(c, "column index") for c in self.columns)
+            object.__setattr__(self, "columns", columns)
             if not self.columns:
                 raise InvalidInputError("columns must select at least one column")
             if any(c < 0 for c in self.columns):

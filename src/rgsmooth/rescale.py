@@ -20,6 +20,13 @@ so c1 = a - c0 and c2 = 0, and the smoothing driver's factor m/(m-1)
 never has one.  No rational reduction is needed, and coefficient
 matrices are bit-reproducible.
 
+The driver applies m/(m-1) to a chain of exactly m tangents, and there
+the rows have a closed form: row k = 0 .. m-2 weighs old segments k and
+k+1 by (m-1-k)/(m-1) and (k+1)/(m-1), so the counts are c0 = m-1-k and
+c1 = k+1 with no lattice arithmetic.  That form needs n_old == a == b+1.
+The factor (b+1)/b alone does not give it: on a chain longer than b+1,
+row k >= b starts at k + k // b.
+
 Integer factors are handled separately by :func:`rescale_integer`, which
 simply sums consecutive runs of tangents.  Fractional factors must lie in
 (1, 2]; when n_old / f is not an integer the uncovered tail of the chain
@@ -124,7 +131,15 @@ def _lattice_rows(n_old: int, num: int, den: int):
 
     c0 and c1 are at least 1 because num/den lies in (1, 2].  Returns the
     arrays (first, c0, c1); callers that need c2 derive it.
+
+    At the smoothing driver's pass, n_old == num == den + 1, the rows are
+    known outright: den rows with first = k, c0 = den - k, c1 = k + 1, so
+    none of the lattice arithmetic runs.  The factor (den+1)/den alone is
+    not enough: on a longer chain row k starts at k + k // den, not k.
     """
+    if n_old == num == den + 1:
+        first = np.arange(den, dtype=np.int64)
+        return first, den - first, first + 1
     start = np.arange(_n_new(n_old, num, den), dtype=np.int64) * num
     first = start // den
     c0 = (first + 1) * den - start

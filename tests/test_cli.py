@@ -319,6 +319,39 @@ class TestSmoothCommand:
                      "--steps", "1", "--delimiter", ";", "--header"]) == 0
         assert dst.read_text().count(";") > 0
 
+    def test_float_character_delimiter_exit_2(self, tmp_path, capsys):
+        # With "." as delimiter, 1.0 would be written as two cells.
+        src = tmp_path / "in.csv"
+        src.write_text("1.2\n3.4\n5.6\n7.8\n")
+        code = main(["smooth", "--delimiter", ".", "--input", str(src),
+                     "--output", str(tmp_path / "out.csv"), "--steps", "1"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "delimiter '.'" in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+    @pytest.mark.parametrize("svg_is_link", [False, True], ids=["plain", "symlink"])
+    def test_output_and_svg_same_file_exit_2(self, tmp_path, capsys, svg_is_link):
+        src = noisy_input(tmp_path)
+        svg = tmp_path / "same.out"
+        if svg_is_link:
+            svg = tmp_path / "link.svg"
+            svg.symlink_to("same.out")
+        code = main(["smooth", "--input", str(src), "--output", str(tmp_path / "same.out"),
+                     "--svg", str(svg), "--steps", "2"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--output and --svg name the same file" in err[0]
+        assert not (tmp_path / "same.out").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["in.csv", "link.svg"] if svg_is_link else ["in.csv"]
+        )
+
+    def test_output_and_svg_both_null_device(self, tmp_path):
+        src = noisy_input(tmp_path)
+        assert main(["smooth", "--input", str(src), "--output", os.devnull,
+                     "--svg", os.devnull, "--steps", "2"]) == 0
+
     def test_steps_and_target_mutually_exclusive(self, tmp_path):
         src = tmp_path / "in.csv"
         src.write_text("0,0\n1,1\n2,0\n")

@@ -94,6 +94,18 @@ class TestReadPoints:
             CsvSchema(columns=())
 
     @pytest.mark.parametrize(
+        "kwargs",
+        [{"delimiter": c} for c in "0123456789.+-e\r\n"]
+        + [{"columns": (1.5,)}, {"columns": ("1",)}, {"columns": (0, None)}],
+        ids=repr,
+    )
+    def test_schema_rejects_unusable_delimiter_or_column(self, kwargs):
+        # Written floats such as 1e+16 and -1e-05 use the digits and ".+-e";
+        # CR and LF end a row.
+        with pytest.raises(InvalidInputError):
+            CsvSchema(**kwargs)
+
+    @pytest.mark.parametrize(
         "data, row, message",
         [
             (b"0,1\n1,\xff\n", 2, "not UTF-8"),

@@ -122,6 +122,12 @@ class TestBruteForceOracle:
         assert brute_force_coefficients(4, Fraction(4, 3)) == overlap_coefficients(
             4, Fraction(4, 3)
         )
+        # Driver-sized factors (d+1)/d, beyond the random test's den <= 12, on
+        # chains at and around n_old = d + 1, where the rows are closed-form.
+        for d in (13, 50, 299):
+            f = Fraction(d + 1, d)
+            for n_old in (d, d + 1, d + 2, 2 * d + 2, 3 * d + 3):
+                assert overlap_coefficients(n_old, f) == brute_force_coefficients(n_old, f)
 
     def test_factor_two(self):
         assert entries(brute_force_coefficients(2, Fraction(2))) == [
