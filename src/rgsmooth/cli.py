@@ -110,6 +110,7 @@ def run_smooth(args) -> int:
     if args.svg and polyline.dimension < 2:
         raise InvalidInputError("SVG overlay requires at least 2 coordinate columns")
 
+    warning = ""
     try:
         if args.target_cr is not None:
             result = smooth_to_ratio(polyline, args.target_cr)
@@ -120,13 +121,14 @@ def run_smooth(args) -> int:
         if not args.clamp:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_TOO_MANY_STEPS
-        print(f"warning: clamping to the maximum of {exc.max_steps} steps", file=sys.stderr)
+        warning = f"warning: clamping to the maximum of {exc.max_steps} steps\n"
         result = smooth(polyline, exc.max_steps)
     outputs = [(args.output, write_points(result.output, schema))]
     if args.svg:
         outputs.append((args.svg, emit_svg(polyline, result.output)))
     _write_all(outputs)
-
+    # Warned only once the run has succeeded: a failure prints its one error line.
+    sys.stderr.write(warning)
     if args.trace:
         for rec in result.trace:
             print(_trace_line(rec))

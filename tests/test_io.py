@@ -96,7 +96,8 @@ class TestReadPoints:
     @pytest.mark.parametrize(
         "kwargs",
         [{"delimiter": c} for c in "0123456789.+-e\r\n"]
-        + [{"columns": (1.5,)}, {"columns": ("1",)}, {"columns": (0, None)}],
+        + [{"columns": (1.5,)}, {"columns": ("1",)}, {"columns": (0, None)}]
+        + [{"delimiter": None}, {"delimiter": b","}, {"columns": 5}],
         ids=repr,
     )
     def test_schema_rejects_unusable_delimiter_or_column(self, kwargs):

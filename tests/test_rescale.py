@@ -220,20 +220,21 @@ class TestRescaleFractional:
 
     def test_bit_identical_to_exact_weights_summed_in_order(self):
         # Each weight is rounded once and a row's terms are added in
-        # ascending old index, for rows of two segments and of three.
+        # ascending old index, for rows of two segments and of three, and
+        # for the driver's pass m / (m - 1) on exactly m tangents.
         rng = np.random.default_rng(9)
-        for f in reduced_factors():
-            for n_old in range(1, 41):
-                if (n_old * f.denominator) // f.numerator < 1:
-                    continue
-                t = rng.choice([-1.0, 1.0], size=(n_old, 2)) * 10.0 ** rng.uniform(-5, 5, (n_old, 2))
-                rows = overlap_coefficients(n_old, f).rows
-                expected = np.array(
-                    [functools.reduce(np.add, [float(w) * t[j] for j, w in row.entries])
-                     for row in rows]
-                )
-                out = rescale_fractional(TangentChain(np.zeros(2), t), f).tangents
-                assert out.tobytes() == expected.tobytes(), (n_old, f)
+        cases = [(n_old, f) for f in reduced_factors() for n_old in range(1, 41)
+                 if (n_old * f.denominator) // f.numerator >= 1]
+        cases += [(m, Fraction(m, m - 1)) for m in (2, 3, 13, 50, 299, 1001)]
+        for n_old, f in cases:
+            t = rng.choice([-1.0, 1.0], size=(n_old, 2)) * 10.0 ** rng.uniform(-5, 5, (n_old, 2))
+            rows = overlap_coefficients(n_old, f).rows
+            expected = np.array(
+                [functools.reduce(np.add, [float(w) * t[j] for j, w in row.entries])
+                 for row in rows]
+            )
+            out = rescale_fractional(TangentChain(np.zeros(2), t), f).tangents
+            assert out.tobytes() == expected.tobytes(), (n_old, f)
 
     def test_propagates_validation_errors(self):
         chain = TangentChain(base=(0.0,), tangents=np.ones((4, 1)))

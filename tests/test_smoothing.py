@@ -400,3 +400,28 @@ class TestExactReferenceAndInvariants:
                 support = [j for j, w in enumerate(row) if w]
                 assert support == list(range(support[0], support[-1] + 1))
                 assert len(support) <= s + 1
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_moment_curve_gives_each_rows_bandwidth(self, n):
+        # The width of the window above from one 2-column curve instead of
+        # the n-column identity: smoothing (j - c, (j - c)^2) gives each
+        # output point's mean input index and second moment about c, so
+        # its variance sigma_k^2 = E_k[(j - c)^2] - (mu_k - c)^2.
+        c = n / 2
+        offsets = [Fraction(j) - Fraction(c) for j in range(n)]
+        moments = np.array([[float(d), float(d * d)] for d in offsets])
+        for s in range(1, n - 1):
+            by_weights = []
+            for row in exact_smooth(np.eye(n), s):
+                mean = sum(w * d for w, d in zip(row, offsets))
+                by_weights.append(sum(w * d * d for w, d in zip(row, offsets)) - mean * mean)
+            by_moments = [m2 - m1 * m1 for m1, m2 in exact_smooth(moments, s)]
+            assert by_moments == by_weights
+            # The fixed endpoints are not smoothed at all.
+            assert by_moments[0] == by_moments[-1] == 0
+            assert all(v > 0 for v in by_moments[1:-1])
+            out = smooth(Polyline(moments), s).output.points
+            np.testing.assert_allclose(
+                out[:, 1] - out[:, 0] ** 2, [float(v) for v in by_moments],
+                rtol=0, atol=(1 + 2 * c) * error_bound(moments),
+            )
