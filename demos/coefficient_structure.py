@@ -10,7 +10,9 @@ and when n / f is an integer every column sums to exactly 1 (nothing is
 lost).  When n / f is not an integer the tail of the chain is dropped.
 
 The last part composes s passes of the smoothing driver into one weight
-matrix and prints the width and spread of its middle row.
+matrix and prints the width and spread of its middle row.  It then takes
+the spread of every row from one 2-column run instead, and prints it near
+the first endpoint and in the middle: the ends are smoothed much less.
 """
 
 from fractions import Fraction
@@ -52,3 +54,10 @@ for s in (10, 100):
     print(f"\n{s} passes on {n} points, middle row {k}: centre {centre:.4f} "
           f"(k*N/(N-s) = {k * (n - 1) / (n - 1 - s):.4f}), window {support[0]}..{support[-1]} "
           f"({support.size} inputs, at most {s + 1}), standard deviation {sd:.3f} samples")
+    # The same spread for every row without the n x n matrix: smoothing the
+    # curve (j - c, (j - c)^2) gives each row's mean and second moment.
+    d = j - n / 2
+    moments = smooth(Polyline(np.column_stack([d, d * d])), s).output.points
+    sigma = np.sqrt(np.maximum(moments[:, 1] - moments[:, 0] ** 2, 0.0))
+    print(f"  standard deviation from the moment curve: {sigma[1]:.3f} at k = 1, "
+          f"{sigma[5]:.3f} at k = 5, {sigma[k]:.3f} at the middle row")

@@ -1,7 +1,7 @@
 """Command-line interface: smooth CSV curves, generate test signals.
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid input or parse failure,
-3 step count beyond what the curve allows (without --clamp).
+Exit codes: 0 success, 1 I/O failure, 2 invalid input, usage or parse
+failure, 3 step count beyond what the curve allows (without --clamp).
 """
 
 from __future__ import annotations
@@ -41,7 +41,13 @@ def generate_points(kind: str, n_points: int, x_max: float, sigma: float, seed: 
         raise InvalidInputError(f"sigma must be non-negative and finite, got {sigma}")
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
-    x = np.linspace(0.0, x_max, n_points)
+    try:
+        # Near the float64 limit linspace overflows the last point before
+        # it sets that point to x_max.
+        with np.errstate(over="ignore"):
+            x = np.linspace(0.0, x_max, n_points)
+    except ValueError as exc:
+        raise InvalidInputError(f"cannot make a grid of {n_points} points: {exc}") from None
     # abs() turns a sigma of -0.0, which numpy's normal() rejects, into 0.0.
     y = np.sin(x) + np.random.default_rng(seed).normal(0.0, abs(sigma), n_points)
     return Polyline(np.column_stack([x, y]))
@@ -56,8 +62,15 @@ def _steps_arg(value: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'max', got {value!r}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit 2 through main's one error line."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rgsmooth",
         description="Smooth and compress ordered point sequences by iterative segment merging.",
     )
@@ -194,8 +207,8 @@ def _trace_line(rec) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -204,7 +217,3 @@ def main(argv=None) -> int:
         # run_smooth reports a failed read itself, so what reaches here is a write.
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

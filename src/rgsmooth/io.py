@@ -143,62 +143,47 @@ def _parse_fast(text: str, schema: CsvSchema) -> np.ndarray | None:
 def _parse_rows(text: str, schema: CsvSchema) -> np.ndarray:
     """The row-by-row parser: the reference for what the CSV format means."""
     points: list[list[float]] = []
-    dimension = None
-    for row_no, row in _csv_rows(text, schema.delimiter):
-        if schema.has_header and row_no == 1:
-            continue
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if schema.columns is None:
-            cells = list(enumerate(row))
-        else:
-            cells = []
-            for col in schema.columns:
+    rows = csv.reader(_stdio.StringIO(text), delimiter=schema.delimiter)
+    row_no = 0
+    try:
+        for row_no, row in enumerate(rows, 1):
+            if (schema.has_header and row_no == 1) or all(cell.strip() == "" for cell in row):
+                continue
+            columns = schema.columns or range(len(row))
+            for col in columns:
                 if col >= len(row):
                     raise ParseError(
                         f"row {row_no} has {len(row)} columns, column {col + 1} requested",
                         row=row_no,
                         column=col + 1,
                     )
-                cells.append((col, row[col]))
-        coords = []
-        for col, cell in cells:
-            try:
-                value = float(cell)
-            except ValueError:
+            coords = [_finite(row[col], row_no, col) for col in columns]
+            if points and len(coords) != len(points[0]):
                 raise ParseError(
-                    f"row {row_no}, column {col + 1}: {cell!r} is not a number",
+                    f"row {row_no} has {len(coords)} coordinates, expected {len(points[0])}",
                     row=row_no,
-                    column=col + 1,
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"row {row_no}, column {col + 1}: {cell!r} is not finite",
-                    row=row_no,
-                    column=col + 1,
                 )
-            coords.append(value)
-        if dimension is None:
-            dimension = len(coords)
-        elif len(coords) != dimension:
-            raise ParseError(
-                f"row {row_no} has {len(coords)} coordinates, expected {dimension}",
-                row=row_no,
-            )
-        points.append(coords)
+            points.append(coords)
+    except csv.Error as exc:
+        raise ParseError(f"row {row_no + 1}: {exc}", row=row_no + 1) from None
     if len(points) < 2:
         raise InvalidInputError(f"need at least 2 data rows, got {len(points)}")
     return np.array(points, dtype=np.float64)
 
 
-def _csv_rows(text: str, delimiter: str):
-    """Yield (1-based row number, cells); a malformed row raises ParseError."""
-    row_no = 0
+def _finite(cell: str, row_no: int, col: int) -> float:
+    """The finite float in ``cell``, or ParseError at its 1-based row and column."""
     try:
-        for row_no, row in enumerate(csv.reader(_stdio.StringIO(text), delimiter=delimiter), 1):
-            yield row_no, row
-    except csv.Error as exc:
-        raise ParseError(f"row {row_no + 1}: {exc}", row=row_no + 1) from None
+        value = float(cell)
+    except ValueError:
+        problem = "is not a number"
+    else:
+        if math.isfinite(value):
+            return value
+        problem = "is not finite"
+    raise ParseError(
+        f"row {row_no}, column {col + 1}: {cell!r} {problem}", row=row_no, column=col + 1
+    )
 
 
 def write_points(polyline: Polyline, schema: CsvSchema = CsvSchema()) -> bytes:

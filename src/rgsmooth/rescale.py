@@ -123,12 +123,13 @@ def _lattice_rows(n_old: int, num: int, den: int):
         c2 = num - c0 - c1           segment first+2, often 0
 
     c0 and c1 are at least 1 because num/den lies in (1, 2].  Returns the
-    arrays (first, c0, c1); callers that need c2 derive it.
+    arrays (first, c0, c1, c2).
     """
     start = np.arange(_n_new(n_old, num, den), dtype=np.int64) * num
     first = start // den
     c0 = (first + 1) * den - start
-    return first, c0, np.minimum(den, num - c0)
+    c1 = np.minimum(den, num - c0)
+    return first, c0, c1, num - c0 - c1
 
 
 def overlap_coefficients(n_old: int, factor) -> CoefficientMatrix:
@@ -147,10 +148,9 @@ def overlap_coefficients(n_old: int, factor) -> CoefficientMatrix:
     f = _check_fractional(factor)
     n_old = _check_n_old(n_old)
     num, den = f.numerator, f.denominator
-    first, c0, c1 = _lattice_rows(n_old, num, den)
     rows = tuple(
         CoefficientRow(entries=tuple((j + i, Fraction(c, den)) for i, c in enumerate(cs) if c))
-        for j, *cs in zip(first.tolist(), c0.tolist(), c1.tolist(), (num - c0 - c1).tolist())
+        for j, *cs in zip(*(a.tolist() for a in _lattice_rows(n_old, num, den)))
     )
     return CoefficientMatrix(rows=rows, n_old=n_old, n_new=len(rows), factor=f)
 
@@ -174,7 +174,7 @@ def _merge(tangents: NDArray[np.float64], num: int, den: int) -> NDArray[np.floa
         w1 = np.arange(1.0, num) / den
         w0 = w1[::-1]
     else:
-        first, c0, c1 = _lattice_rows(tangents.shape[0], num, den)
+        first, c0, c1, c2 = _lattice_rows(tangents.shape[0], num, den)
         w0, w1 = c0 / float(den), c1 / float(den)
     # The output outlives the pass, so it is allocated after the temporary:
     # glibc malloc then faults ~5x fewer pages per pass at n >= 2*10**4.
@@ -184,7 +184,6 @@ def _merge(tangents: NDArray[np.float64], num: int, den: int) -> NDArray[np.floa
     out *= w0[:, None]
     out += term
     if num - den > 1:
-        c2 = num - c0 - c1
         three = c2 > 0
         out[three] += (c2[three] / float(den))[:, None] * tangents[first[three] + 2]
     return out

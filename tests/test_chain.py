@@ -45,6 +45,15 @@ class TestPolyline:
         with pytest.raises(InvalidInputError):
             Polyline([(0, 0), (1,), (2, 2)])
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((3, 0), "at least one coordinate"), ((2, 2, 2), "got a 3-D array")],
+        ids=["no-coordinates", "3-d"],
+    )
+    def test_malformed_shape_rejected(self, shape, message):
+        with pytest.raises(InvalidInputError, match=message):
+            Polyline(np.zeros(shape))
+
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             Polyline([(0, 0), (np.nan, 1)])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -411,13 +411,39 @@ class TestSmoothCommand:
         assert main(["smooth", "--input", str(src), "--output", os.devnull,
                      "--svg", os.devnull, "--steps", "2"]) == 0
 
-    def test_steps_and_target_mutually_exclusive(self, tmp_path):
+    def test_steps_and_target_mutually_exclusive(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         src.write_text("0,0\n1,1\n2,0\n")
-        with pytest.raises(SystemExit) as exc:
-            main(["smooth", "--input", str(src), "--output", str(tmp_path / "o.csv"),
-                  "--steps", "1", "--target-cr", "50"])
-        assert exc.value.code == 2
+        code = main(["smooth", "--input", str(src), "--output", str(tmp_path / "o.csv"),
+                     "--steps", "1", "--target-cr", "50"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: argument --target-cr: not allowed with argument --steps\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["smooth", "--input", "in.csv", "--output", "o.csv", "--steps", "x"],
+         "argument --steps: expected an integer or 'max', got 'x'"),
+        (["smooth", "--input", "in.csv", "--steps", "1"],
+         "the following arguments are required: --output"),
+        (["frob"], "argument command: invalid choice: 'frob' (choose from 'smooth', 'generate')"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["bad-steps", "missing-output", "unknown-command", "missing-command"],
+)
+def test_usage_error_exit_2_one_line(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["smooth", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rgsmooth smooth ")
 
 
 @pytest.mark.parametrize(
@@ -465,8 +491,19 @@ class TestGenerateCommand:
     def test_bad_n_exit_2(self, capsys):
         assert main(["generate", "--n", "1", "--seed", "3"]) == 2
 
+    # Sizes numpy refuses before it allocates anything; never test a size
+    # the host might really allocate.
+    @pytest.mark.parametrize("n", ["4611686018427387904", "99999999999999999999999"])
+    def test_grid_numpy_cannot_size_exit_2_one_line(self, n, capsys):
+        assert main(["generate", "--n", n]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot make a grid of {n} points: ")
+        assert err.count("\n") == 1
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(-3, 40), st.integers(-5, 2**64), _GENERATE_FLOATS, _GENERATE_FLOATS)
+    # linspace overflows an intermediate of the last point at this x_max.
+    @example(n=19, seed=0, sigma=0.0, x_max=1.7976931348623157e308)
     def test_any_parameters_exit_0_or_2_one_line(self, n, seed, sigma, x_max):
         # In process, so that the "error" warning filter turns any numpy
         # RuntimeWarning into a failure.  The "=" form keeps "-inf" a value.

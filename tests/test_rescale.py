@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from rgsmooth import (
     ChainTooShortError,
+    InvalidInputError,
     InvalidScalingError,
     TangentChain,
     overlap_coefficients,
@@ -77,6 +78,10 @@ class TestOverlapCoefficients:
     def test_chain_too_short(self):
         with pytest.raises(ChainTooShortError):
             overlap_coefficients(1, Fraction(4, 3))
+
+    def test_no_segments_rejected(self):
+        with pytest.raises(InvalidInputError, match="segment count must be positive"):
+            overlap_coefficients(0, Fraction(4, 3))
 
     def test_driver_factor_rows_span_two_segments(self):
         # The closed form a two-term pass kernel relies on: at m / (m - 1),

@@ -401,6 +401,21 @@ class TestExactReferenceAndInvariants:
                 assert support == list(range(support[0], support[-1] + 1))
                 assert len(support) <= s + 1
 
+    @pytest.mark.parametrize("s", [10, 100])
+    def test_moment_curve_bandwidth_matches_weight_matrix_at_1001(self, s):
+        # README's recipe at the size of its table, against sigma from the
+        # rows of smooth's own weight matrix.  The endpoints (sigma = 0) are
+        # left out: there the moment difference is float noise.  A variance
+        # that noise makes negative is read as 0, so sqrt does not warn.
+        n = 1001
+        j = np.arange(n) - n / 2
+        m = smooth(Polyline(np.column_stack([j, j * j])), s).output.points
+        by_moments = np.sqrt(np.maximum(m[:, 1] - m[:, 0] ** 2, 0.0))
+        W = smooth(Polyline(np.eye(n)), s).output.points
+        centred = j - (W @ j)[:, None]
+        by_weights = np.sqrt(np.maximum((W * centred**2).sum(axis=1), 0.0))
+        np.testing.assert_allclose(by_moments[1:-1], by_weights[1:-1], rtol=1e-6, atol=0)
+
     @pytest.mark.parametrize("n", range(3, 21))
     def test_moment_curve_gives_each_rows_bandwidth(self, n):
         # The width of the window above from one 2-column curve instead of
