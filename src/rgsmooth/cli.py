@@ -46,11 +46,13 @@ def generate_points(kind: str, n_points: int, x_max: float, sigma: float, seed: 
         # it sets that point to x_max.
         with np.errstate(over="ignore"):
             x = np.linspace(0.0, x_max, n_points)
-    except ValueError as exc:
+        # abs() turns a sigma of -0.0, which numpy's normal() rejects, into 0.0.
+        y = np.sin(x) + np.random.default_rng(seed).normal(0.0, abs(sigma), n_points)
+        points = np.column_stack([x, y])
+    except (ValueError, MemoryError) as exc:
+        # numpy refuses some sizes outright; others it sizes but cannot allocate.
         raise InvalidInputError(f"cannot make a grid of {n_points} points: {exc}") from None
-    # abs() turns a sigma of -0.0, which numpy's normal() rejects, into 0.0.
-    y = np.sin(x) + np.random.default_rng(seed).normal(0.0, abs(sigma), n_points)
-    return Polyline(np.column_stack([x, y]))
+    return Polyline(points)
 
 
 def _steps_arg(value: str):

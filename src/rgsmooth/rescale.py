@@ -95,37 +95,12 @@ def _check_fractional(factor) -> Fraction:
     return factor
 
 
-def _check_n_old(n_old: int) -> int:
-    n_old = _as_int(n_old, "segment count")
-    if n_old < 1:
-        raise InvalidInputError(f"segment count must be positive, got {n_old}")
-    return n_old
-
-
-def _n_new(n_old: int, num: int, den: int) -> int:
+def _lattice_rows(n_old: int, num: int, den: int):
+    """Arrays (first, c0, c1, c2) of the module docstring, one entry per row, at a/b = num/den."""
     n_new = (n_old * den) // num
     if n_new < 1:
-        raise ChainTooShortError(
-            f"cannot merge {n_old} segments by a factor of {Fraction(num, den)}"
-        )
-    return n_new
-
-
-def _lattice_rows(n_old: int, num: int, den: int):
-    """Tick counts of every row, in closed form on the 1/den lattice.
-
-    Row k covers ticks [start, start + num) with start = k*num, and its
-    first old segment is first = start // den.  Its ``num`` ticks fall
-    into at most three old segments:
-
-        c0 = (first+1)*den - start   the rest of segment ``first``
-        c1 = min(den, num - c0)      segment first+1, at most all of it
-        c2 = num - c0 - c1           segment first+2, often 0
-
-    c0 and c1 are at least 1 because num/den lies in (1, 2].  Returns the
-    arrays (first, c0, c1, c2).
-    """
-    start = np.arange(_n_new(n_old, num, den), dtype=np.int64) * num
+        raise ChainTooShortError(f"cannot merge {n_old} segments by a factor of {Fraction(num, den)}")
+    start = np.arange(n_new, dtype=np.int64) * num
     first = start // den
     c0 = (first + 1) * den - start
     c1 = np.minimum(den, num - c0)
@@ -146,7 +121,9 @@ def overlap_coefficients(n_old: int, factor) -> CoefficientMatrix:
     ChainTooShortError : ``floor(n_old / factor)`` is zero.
     """
     f = _check_fractional(factor)
-    n_old = _check_n_old(n_old)
+    n_old = _as_int(n_old, "segment count")
+    if n_old < 1:
+        raise InvalidInputError(f"segment count must be positive, got {n_old}")
     num, den = f.numerator, f.denominator
     rows = tuple(
         CoefficientRow(entries=tuple((j + i, Fraction(c, den)) for i, c in enumerate(cs) if c))

@@ -5,30 +5,32 @@ They are slow by design and live here, not in the package.
 
 from fractions import Fraction
 
-from rgsmooth import CoefficientMatrix, CoefficientRow
-from rgsmooth.rescale import _check_fractional, _check_n_old, _n_new
+from rgsmooth import ChainTooShortError, CoefficientMatrix, CoefficientRow
 
 
 def brute_force_coefficients(n_old: int, factor) -> CoefficientMatrix:
     """Same matrix as ``overlap_coefficients``, by tick enumeration.
 
-    Walks every 1/den tick of the chain, assigns it to the new segment
-    containing it, and aggregates tick counts per old segment.  Serves as
-    an independent cross-check of the closed-form overlap rule.
+    Counts the chain's n_old * den ticks of size 1/den per old segment,
+    one new segment of num ticks at a time, for as long as the next new
+    segment ends within the chain.  Serves as an independent cross-check
+    of the closed-form overlap rule; it takes the factor as valid.
     """
-    f = _check_fractional(factor)
-    n_old = _check_n_old(n_old)
+    f = Fraction(factor)
     num, den = f.numerator, f.denominator
-    n_new = _n_new(n_old, num, den)
     rows = []
-    for k in range(n_new):
+    k = 0
+    while (k + 1) * num <= n_old * den:
         ticks: dict[int, int] = {}
         for t in range(k * num, (k + 1) * num):
             j = t // den
             ticks[j] = ticks.get(j, 0) + 1
         entries = tuple((j, Fraction(c, den)) for j, c in sorted(ticks.items()))
         rows.append(CoefficientRow(entries=entries))
-    return CoefficientMatrix(rows=tuple(rows), n_old=n_old, n_new=n_new, factor=f)
+        k += 1
+    if not rows:
+        raise ChainTooShortError(f"cannot merge {n_old} segments by a factor of {f}")
+    return CoefficientMatrix(rows=tuple(rows), n_old=n_old, n_new=k, factor=f)
 
 
 def exact_smooth(points, steps: int) -> list[list[Fraction]]:

@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import io
 import math
 import os
@@ -59,10 +60,12 @@ _CSV_FILES = st.tuples(
 _SMOOTH_OPTIONS = st.tuples(
     st.none() | st.sampled_from([",", ";", "\t", " ", ".", "e", '"', "", ",,", "\r"]),
     st.booleans(),
-    st.integers(-2, 30).map(lambda n: f"--steps={n}")
-    | st.just("--steps=max")
+    st.integers(-2, 30).map(lambda n: (f"--steps={n}",))
     | st.sampled_from([0.0, 50.0, 90.0, 99.99, 100.0, -1.0, math.nan, math.inf]).map(
-        lambda cr: f"--target-cr={cr!r}"),
+        lambda cr: (f"--target-cr={cr!r}",))
+    # "max", then usage errors: bad values, both options and neither.
+    | st.sampled_from([("--steps=max",), ("--steps=x",), ("--steps=1.5",), ("--target-cr=abc",),
+                       ("--steps=1", "--target-cr=50"), ()]),
     st.booleans(),
     st.booleans(),
 )
@@ -148,6 +151,23 @@ class TestSmoothCommand:
             assert p == i
             assert n == 10 - (i - 1)
             assert (num, den) == (n, n - 1)
+
+    def test_output_bytes_pinned(self, tmp_path, capsys):
+        # Every input value is exact (x = k/8, y a running sum of multiples
+        # of 1/64) and a pass only multiplies, adds and divides, so these
+        # digests hold on any numpy build and CPU.
+        k = np.arange(4001)
+        y = np.cumsum(((7919 * k) % 1009 - 504) / 64)
+        src, dst, plot = (tmp_path / name for name in ("in.csv", "out.csv", "out.svg"))
+        src.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip((k / 8).tolist(), y.tolist())))
+        assert main(["smooth", "--input", str(src), "--output", str(dst), "--steps", "400",
+                     "--svg", str(plot), "--trace"]) == 0
+        outputs = dst.read_bytes(), plot.read_bytes(), capsys.readouterr().out.encode()
+        assert [hashlib.sha1(b).hexdigest() for b in outputs] == [
+            "92a9fd095b641a23a41a89eb6cd8a4a35705fd3b",
+            "72f6630f44b5a90ce2fb4aafac4bc9b44a0e2fbe",
+            "113eccdc2cf1db1fcb9b84870f23f21694e18e27",
+        ]
 
     def test_target_cr(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
@@ -283,7 +303,7 @@ class TestSmoothCommand:
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
             src, dst, plot = (Path(tmp, name) for name in ("in.csv", "o.csv", "p.svg"))
             src.write_bytes(data)
-            argv = ["smooth", "--input", str(src), "--output", str(dst), amount]
+            argv = ["smooth", "--input", str(src), "--output", str(dst), *amount]
             argv += [f"--delimiter={delimiter}"] * (delimiter is not None)
             argv += ["--header"] * header + ["--clamp"] * clamp + ["--svg", str(plot)] * svg
             with contextlib.redirect_stdout(io.StringIO()):
@@ -498,6 +518,18 @@ class TestGenerateCommand:
         assert main(["generate", "--n", n]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot make a grid of {n} points: ")
+        assert err.count("\n") == 1
+
+    def test_grid_host_cannot_allocate_exit_2_one_line(self, capsys, monkeypatch):
+        # A size numpy accepts but the host cannot hold, simulated: a real
+        # attempt would allocate.
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.81 KiB for an array with shape (1000,)")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        assert main(["generate", "--n", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot make a grid of 1000 points: Unable to allocate")
         assert err.count("\n") == 1
 
     @settings(max_examples=100, deadline=None)

@@ -20,7 +20,7 @@ from rgsmooth import (
     read_points,
     write_points,
 )
-from rgsmooth.io import _BLOCK_ROWS, _decode, _padded_bounds, _parse_fast, _parse_rows
+from rgsmooth.io import _BLOCK_ROWS, _decode, _parse_fast, _parse_rows
 
 
 class TestReadPoints:
@@ -287,8 +287,15 @@ class TestWritersMatchElementwise:
             assert read_points(data, schema).points.tobytes() == poly.points.tobytes()
 
     def test_emit_svg_points(self, points):
-        # Near the float64 limit the padded bounds or the flipped y overflow,
-        # and emit_svg must raise instead; without those rows the data plots.
+        # The plot spans the data with a margin of 5 % of the span on each
+        # side, or of 0.5 on a flat axis.  Near the float64 limit the padded
+        # bounds or the flipped y overflow, and emit_svg must raise instead;
+        # without those rows the data plots.
+        def padded(values):
+            lo, hi = values.min(), values.max()
+            pad = 0.05 * (hi - lo) if hi > lo else 0.5
+            return lo - pad, hi + pad
+
         for pts in (points, points[(np.abs(points) < 1e300).all(axis=1)]):
             original = Polyline(pts)
             smoothed = Polyline(pts[::2])
@@ -296,9 +303,9 @@ class TestWritersMatchElementwise:
                 xs = np.concatenate([pts[:, ax], smoothed.points[:, ax]])
                 ys = np.concatenate([pts[:, ay], smoothed.points[:, ay]])
                 with np.errstate(over="ignore", invalid="ignore"):
-                    x_lo, x_hi = _padded_bounds(xs.min(), xs.max())
-                    y_lo, y_hi = _padded_bounds(ys.min(), ys.max())
+                    (x_lo, x_hi), (y_lo, y_hi) = padded(xs), padded(ys)
                     sizes = [x_hi - x_lo, y_hi - y_lo]
+                    view = " ".join(f"{float(v):.6g}" for v in [x_lo, y_lo, *sizes])
                     expected = [
                         " ".join(
                             f"{float(p[ax]):.6g},{float(y_lo + y_hi - p[ay]):.6g}"
@@ -308,6 +315,7 @@ class TestWritersMatchElementwise:
                     ]
                 if np.isfinite(sizes).all() and not re.search("inf|nan", "".join(expected)):
                     svg = emit_svg(original, smoothed, axes=(ax, ay)).decode()
+                    assert f'viewBox="{view}"' in svg
                     for path in expected:
                         assert f'points="{path}"' in svg
                 else:
