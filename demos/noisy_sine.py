@@ -42,7 +42,7 @@ for steps in (1, 50, 80, 95):
 
 print()
 print("the first few schedule records of the 95-step run:")
-for rec in smooth(curve, 95).trace.steps[:4]:
+for rec in result.trace.steps[:4]:  # the loop's last run
     print(
         f"  pass {rec.step}: {rec.n_before} -> {rec.n_after} segments, "
         f"factor {rec.factor}, c.r. {rec.compression_ratio_pct:.2f}%"

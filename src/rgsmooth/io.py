@@ -43,7 +43,7 @@ class CsvSchema:
     """How to interpret a CSV point file.
 
     ``columns`` selects which 0-based columns are coordinates (None means
-    all columns, in order).  ``has_header`` skips the first row.  The
+    all columns, in order).  ``has_header`` (a bool) skips the first row.  The
     delimiter is one character that cannot occur in a written float or
     end a row, so that writing and reading back is lossless.
     """
@@ -60,6 +60,9 @@ class CsvSchema:
                 f"delimiter {self.delimiter!r} can occur in a number or end a row; "
                 f"it may not be any of {_NOT_DELIMITERS!r}"
             )
+        if not isinstance(self.has_header, int) or self.has_header not in (0, 1):
+            raise InvalidInputError(f"has_header must be True or False, got {self.has_header!r}")
+        object.__setattr__(self, "has_header", bool(self.has_header))
         if self.columns is not None:
             try:
                 columns = tuple(_as_int(c, "column index") for c in self.columns)
@@ -206,7 +209,9 @@ def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0,
     reports the point-count reduction.  Raises InvalidInputError when the
     padded plot bounds or the flipped y coordinates overflow float64.
     """
-    ax, ay = axes
+    if not isinstance(axes, (tuple, list)) or len(axes) != 2:
+        raise InvalidInputError(f"axes must be a pair of column indices, got {axes!r}")
+    ax, ay = (_as_int(a, "axis index") for a in axes)
     for poly, name in ((original, "original"), (smoothed, "smoothed")):
         if not (0 <= ax < poly.dimension and 0 <= ay < poly.dimension):
             raise InvalidInputError(

@@ -132,49 +132,22 @@ def overlap_coefficients(n_old: int, factor) -> CoefficientMatrix:
     return CoefficientMatrix(rows=rows, n_old=n_old, n_new=len(rows), factor=f)
 
 
-def _merge(tangents: NDArray[np.float64], num: int, den: int) -> NDArray[np.float64]:
-    """Tangents after one pass at the factor ``num / den``, in (1, 2] and reduced.
-
-    The array kernel of :func:`rescale_fractional`, for callers that have
-    checked the factor.  Each weight is rounded once (count / den) and
-    terms are added in ascending old-index order, so results are
-    bit-reproducible.
-
-    The smoothing driver applies m/(m-1) to a chain of exactly m tangents,
-    where row k = 0 .. m-2 weighs old segments k and k+1 by (m-1-k)/(m-1)
-    and (k+1)/(m-1): one weight ramp, no lattice.  (den+1)/den alone is
-    not enough: on a longer chain row k starts at k + k // den.  Other
-    passes use the 1/den lattice; only num - den > 1 masks rows with c2 > 0.
-    """
-    if tangents.shape[0] == num == den + 1:
-        first = np.arange(den)
-        w1 = np.arange(1.0, num) / den
-        w0 = w1[::-1]
-    else:
-        first, c0, c1, c2 = _lattice_rows(tangents.shape[0], num, den)
-        w0, w1 = c0 / float(den), c1 / float(den)
-    # The output outlives the pass, so it is allocated after the temporary:
-    # glibc malloc then faults ~5x fewer pages per pass at n >= 2*10**4.
-    term = tangents[first + 1]
-    term *= w1[:, None]
-    out = tangents[first]
-    out *= w0[:, None]
-    out += term
-    if num - den > 1:
-        three = c2 > 0
-        out[three] += (c2[three] / float(den))[:, None] * tangents[first[three] + 2]
-    return out
-
-
 def rescale_fractional(chain: TangentChain, factor) -> TangentChain:
     """One rescaling pass of a tangent chain at a fractional merge factor.
 
     The base point is unchanged; the new chain has ``floor(n / factor)``
-    tangents, each the overlap-weighted sum of consecutive old tangents.
-    Acts on every coordinate axis independently.
+    tangents, each the overlap-weighted sum of consecutive old tangents,
+    with weights rounded once and added in index order.  Acts on every
+    coordinate axis independently.
     """
     f = _check_fractional(factor)
-    return TangentChain(base=chain.base, tangents=_merge(chain.tangents, f.numerator, f.denominator))
+    t, num, den = chain.tangents, f.numerator, f.denominator
+    first, c0, c1, c2 = _lattice_rows(t.shape[0], num, den)
+    out = t[first] * (c0 / float(den))[:, None] + t[first + 1] * (c1 / float(den))[:, None]
+    if num - den > 1:
+        three = c2 > 0
+        out[three] += (c2[three] / float(den))[:, None] * t[first[three] + 2]
+    return TangentChain(base=chain.base, tangents=out)
 
 
 def rescale_integer(chain: TangentChain, factor: int) -> TangentChain:

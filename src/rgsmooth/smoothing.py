@@ -1,10 +1,11 @@
 """Iterative smoothing driver.
 
 Each pass merges segments at the smallest factor that keeps the segment
-count integral, ``n / (n - 1)``, so exactly one point is removed per pass
-and no tail is ever lost.  The first and last points are therefore fixed:
-the first bit for bit, the last up to float rounding.  The number of
-passes is the method's only tuning parameter.
+count integral, ``m / (m - 1)`` for m segments: new tangent k weighs old
+tangents t[k] and t[k+1] by (m-1-k)/(m-1) and (k+1)/(m-1).  Exactly one
+point is removed per pass and no tail is ever lost.  The first and last
+points are therefore fixed: the first bit for bit, the last up to float
+rounding.  The number of passes is the method's only tuning parameter.
 
 A pass works on the bare tangent array; only the run's input and output
 are wrapped as validated curves.  The per-pass schedule depends on
@@ -24,7 +25,6 @@ import numpy as np
 
 from .chain import Polyline, TangentChain, _as_int, build_chain, reconstruct
 from .errors import ChainTooShortError, InvalidInputError, TooManyStepsError
-from .rescale import _merge
 
 
 @dataclasses.dataclass(frozen=True)
@@ -113,6 +113,23 @@ def compression_ratio(n_original_segments: int, n_current_segments: int) -> floa
     return (1.0 - (n_cur + 1) / (n_orig + 1)) * 100.0
 
 
+def _pass(t: np.ndarray) -> np.ndarray:
+    """One pass over m tangents ``t``: m - 1 tangents, bit for bit rescale_fractional's."""
+    m = t.shape[0]
+    # Gathers, not slices: the benchmark holds every output, so faster slices read as more RSS.
+    first = np.arange(m - 1)
+    w1 = np.arange(1.0, m) / (m - 1)
+    w0 = w1[::-1]
+    # The output outlives the pass, so it is allocated after the temporary:
+    # glibc malloc then faults ~5x fewer pages per pass at n >= 2*10**4.
+    term = t[first + 1]
+    term *= w1[:, None]
+    out = t[first]
+    out *= w0[:, None]
+    out += term
+    return out
+
+
 def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
     """Smooth a polyline by ``steps`` one-point-removal passes.
 
@@ -153,8 +170,8 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
         try:
             chain = build_chain(polyline)
             tangents = chain.tangents
-            for m in range(n_original, n_original - steps, -1):
-                tangents = _merge(tangents, m, m - 1)
+            for _ in range(steps):
+                tangents = _pass(tangents)
             output = reconstruct(TangentChain(base=chain.base, tangents=tangents))
         except InvalidInputError:
             raise InvalidInputError("coordinates overflowed float64 while smoothing") from None

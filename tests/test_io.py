@@ -97,7 +97,8 @@ class TestReadPoints:
         "kwargs",
         [{"delimiter": c} for c in "0123456789.+-e\r\n"]
         + [{"columns": (1.5,)}, {"columns": ("1",)}, {"columns": (0, None)}]
-        + [{"delimiter": None}, {"delimiter": b","}, {"columns": 5}],
+        + [{"delimiter": None}, {"delimiter": b","}, {"columns": 5}]
+        + [{"has_header": 2}, {"has_header": "no"}],
         ids=repr,
     )
     def test_schema_rejects_unusable_delimiter_or_column(self, kwargs):
@@ -360,6 +361,10 @@ class TestEmitSvg:
         original, smoothed = curve_pair()
         with pytest.raises(InvalidInputError):
             emit_svg(original, smoothed, axes=(0, 2))
+        with pytest.raises(InvalidInputError):
+            emit_svg(original, smoothed, axes=(0.5, 1))
+        with pytest.raises(InvalidInputError):
+            emit_svg(original, smoothed, axes=(0, 1, 2))
 
     def test_y_axis_flipped(self):
         # Larger data y must map to a smaller SVG y coordinate.

@@ -257,6 +257,14 @@ class TestArrayLoopAndLazyTrace:
             assert res.trace.steps == tuple(records[:steps])
             assert len(res.trace) == steps
 
+    @pytest.mark.parametrize("n_points", [10001, 100001])
+    def test_matches_chain_passes_bitwise_at_large_n(self, n_points):
+        # The driver's pass and rescale_fractional share no code, so only
+        # this holds them to the same bits on long chains.
+        p = noisy_curve(n_points=n_points, seed=n_points)
+        curves, _ = chain_passes(p, 3)
+        assert smooth(p, 3).output.points.tobytes() == curves[3].tobytes()
+
     def test_steps_built_once_and_only_when_read(self):
         trace = smooth(noisy_curve(n_points=21), 12).trace
         assert len(trace) == 12
