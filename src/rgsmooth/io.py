@@ -76,12 +76,12 @@ class CsvSchema:
 
 
 def read_points(source, schema: CsvSchema = CsvSchema()) -> Polyline:
-    """Parse a CSV stream (text, bytes, or file-like) into a polyline.
+    """Parse a CSV stream (text, bytes-like, or file-like) into a polyline.
 
-    Bytes are decoded as UTF-8; a leading byte-order mark is ignored.
+    Bytes-like data is decoded as UTF-8; a leading byte-order mark is ignored.
     Every data row must yield the same number of finite coordinates.
-    Raises ParseError with the 1-based row and column of the first
-    offending cell, or InvalidInputError when fewer than 2 points remain.
+    Raises ParseError at the first offending cell (1-based row and column),
+    or InvalidInputError for a source of another type or under 2 points.
 
     Plain numeric files take one vectorized parse.  Anything that parse
     declines goes through the row parser, which accepts the same files
@@ -95,9 +95,10 @@ def read_points(source, schema: CsvSchema = CsvSchema()) -> Polyline:
 
 
 def _decode(source) -> str:
-    """Text of a str, bytes or file-like source, minus a leading BOM."""
+    """Text of a str, bytes-like or file-like source, minus a leading BOM."""
     data = source.read() if hasattr(source, "read") else source
-    if isinstance(data, bytes):
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        data = bytes(data)
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -106,6 +107,8 @@ def _decode(source) -> str:
                 f"row {row}: byte {data[exc.start]:#04x} at offset {exc.start} is not UTF-8",
                 row=row,
             ) from None
+    elif not isinstance(data, str):
+        raise InvalidInputError(f"cannot read points from type {type(data).__name__}")
     return data.removeprefix("\ufeff")
 
 

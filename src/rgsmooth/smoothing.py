@@ -113,18 +113,17 @@ def compression_ratio(n_original_segments: int, n_current_segments: int) -> floa
     return (1.0 - (n_cur + 1) / (n_orig + 1)) * 100.0
 
 
-def _pass(t: np.ndarray) -> np.ndarray:
+def _pass(t: np.ndarray, idx: np.ndarray, ks: np.ndarray, w: np.ndarray) -> np.ndarray:
     """One pass over m tangents ``t``: m - 1 tangents, bit for bit rescale_fractional's."""
     m = t.shape[0]
-    # Gathers, not slices: the benchmark holds every output, so faster slices read as more RSS.
-    first = np.arange(m - 1)
-    w1 = np.arange(1.0, m) / (m - 1)
+    w1 = np.divide(ks[: m - 1], m - 1, out=w[: m - 1])
     w0 = w1[::-1]
-    # The output outlives the pass, so it is allocated after the temporary:
-    # glibc malloc then faults ~5x fewer pages per pass at n >= 2*10**4.
-    term = t[first + 1]
+    # Gathers, not slices, until ROADMAP item 1: the benchmark holds every output, so faster
+    # slices read as more RSS.  The output outlives the pass, so it is allocated after the
+    # temporary: glibc malloc then faults ~5x fewer pages per pass at n >= 2*10**4.
+    term = t[idx[1:m]]
     term *= w1[:, None]
-    out = t[first]
+    out = t[idx[: m - 1]]
     out *= w0[:, None]
     out += term
     return out
@@ -170,8 +169,9 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
         try:
             chain = build_chain(polyline)
             tangents = chain.tangents
+            idx, ks, w = np.arange(n_original), np.arange(1.0, n_original), np.empty(n_original - 1)
             for _ in range(steps):
-                tangents = _pass(tangents)
+                tangents = _pass(tangents, idx, ks, w)
             output = reconstruct(TangentChain(base=chain.base, tangents=tangents))
         except InvalidInputError:
             raise InvalidInputError("coordinates overflowed float64 while smoothing") from None

@@ -23,6 +23,16 @@ from rgsmooth import (
 from rgsmooth.io import _BLOCK_ROWS, _decode, _parse_fast, _parse_rows
 
 
+class _ReadReturns:
+    """A file-like source whose ``read()`` returns the given object."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def read(self):
+        return self.data
+
+
 class TestReadPoints:
     def test_plain_2d(self):
         p = read_points("0,1\n1,2\n2,3\n")
@@ -38,6 +48,23 @@ class TestReadPoints:
         assert read_points(content).n_points == 2
         assert read_points(io.BytesIO(content)).n_points == 2
         assert read_points(io.StringIO("0,1\n1,2\n")).n_points == 2
+
+    @pytest.mark.parametrize(
+        "source", [bytearray(b"0,1\n1,2\n"), memoryview(b"0,1\n1,2\n")], ids=["bytearray", "memoryview"]
+    )
+    def test_bytes_like_decoded_as_bytes(self, source):
+        for src in (source, _ReadReturns(source)):
+            assert np.array_equal(read_points(src).points, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "source, type_name",
+        [(12345, "int"), (None, "NoneType"), ([b"0,1", b"1,2"], "list"), (1.5, "float")],
+        ids=repr,
+    )
+    def test_other_sources_rejected_naming_the_type(self, source, type_name):
+        for src in (source, _ReadReturns(source)):
+            with pytest.raises(InvalidInputError, match=f"type {type_name}$"):
+                read_points(src)
 
     def test_parse_error_location(self):
         with pytest.raises(ParseError) as err:

@@ -391,6 +391,17 @@ class TestExactReferenceAndInvariants:
         split = smooth(smooth(Polyline(pts), first).output, steps - first).output.points
         assert np.abs(split - out).max() <= 3 * error_bound(pts)
 
+    @settings(max_examples=100, deadline=None)
+    @given(curves())
+    def test_reversed_input_gives_reversed_output(self, case):
+        # Row k's weights (m-1-k)/(m-1) and (k+1)/(m-1) are row m-2-k's read
+        # backwards, so the exact result of a reversed curve is the exact
+        # result reversed; each float run lies within its bound of it.
+        pts, steps = case
+        out = smooth(Polyline(pts), steps).output.points
+        backwards = smooth(Polyline(pts[::-1]), steps).output.points
+        assert np.abs(backwards[::-1] - out).max() <= 2 * error_bound(pts)
+
     @pytest.mark.parametrize("n", range(3, 16))
     def test_s_pass_weights_form_a_centred_window(self, n):
         # smooth is linear and acts on each axis alone, so smoothing the
