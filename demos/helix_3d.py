@@ -38,7 +38,9 @@ per_axis = np.column_stack(
 )
 print("whole == per-axis:", per_axis.tobytes() == result.output.points.tobytes())
 
-# Two projections of the overlay.
-(out_dir / "helix_xy.svg").write_bytes(emit_svg(noisy, result.output, axes=(0, 1)))
-(out_dir / "helix_xz.svg").write_bytes(emit_svg(noisy, result.output, axes=(0, 2)))
+# Two projections of the overlay: emit_svg plots coordinates 0 and 1, so
+# the x-z view is drawn from the curves' x and z columns.
+(out_dir / "helix_xy.svg").write_bytes(emit_svg(noisy, result.output))
+xz = [Polyline(p.points[:, [0, 2]]) for p in (noisy, result.output)]
+(out_dir / "helix_xz.svg").write_bytes(emit_svg(*xz))
 print(f"projections written to {out_dir}/")

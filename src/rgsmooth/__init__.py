@@ -2,9 +2,9 @@
 
 A curve of N+1 points in any number of dimensions is treated as a chain
 of N tangent vectors.  Each smoothing pass merges overlapping runs of
-segments with exact rational weights, removing exactly one point while
-keeping both endpoints and any equidistant coordinate grid.  The number
-of passes is the single tuning parameter.
+segments, each weight rounded once to float64, and removes one point; the
+first point stays bit for bit, the last up to rounding, and an equidistant
+grid stays equidistant.  The number of passes is the only tuning parameter.
 """
 
 from .chain import Polyline, TangentChain, build_chain, reconstruct

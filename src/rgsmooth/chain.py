@@ -110,7 +110,8 @@ def build_chain(polyline: Polyline) -> TangentChain:
     Translation of the input moves the base but leaves tangents unchanged.
     """
     pts = polyline.points
-    return TangentChain(base=pts[0], tangents=np.diff(pts, axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return TangentChain(base=pts[0], tangents=np.diff(pts, axis=0))
 
 
 def reconstruct(chain: TangentChain) -> Polyline:
@@ -122,5 +123,6 @@ def reconstruct(chain: TangentChain) -> Polyline:
     n, d = chain.tangents.shape
     pts = np.empty((n + 1, d), dtype=np.float64)
     pts[0] = chain.base
-    pts[1:] = chain.base + np.cumsum(chain.tangents, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts[1:] = chain.base + np.cumsum(chain.tangents, axis=0)
     return Polyline(pts)

@@ -96,7 +96,8 @@ def read_points(source, schema: CsvSchema = CsvSchema()) -> Polyline:
 
 def _decode(source) -> str:
     """Text of a str, bytes-like or file-like source, minus a leading BOM."""
-    data = source.read() if hasattr(source, "read") else source
+    read = None if isinstance(source, type) else getattr(source, "read", None)
+    data = read() if callable(read) else source
     if isinstance(data, (bytes, bytearray, memoryview)):
         data = bytes(data)
         try:
@@ -203,26 +204,20 @@ def write_points(polyline: Polyline, schema: CsvSchema = CsvSchema()) -> bytes:
     return _format_rows(polyline.points, row).encode("utf-8")
 
 
-def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0, 1)) -> bytes:
+def emit_svg(original: Polyline, smoothed: Polyline) -> bytes:
     """Render an overlay of two curves as an SVG 1.1 document.
 
-    ``axes`` picks the two coordinate columns to plot (a projection for
-    curves with more than two dimensions).  The original curve is drawn
-    with a light stroke under the smoothed one, and a text annotation
-    reports the point-count reduction.  Raises InvalidInputError when the
-    padded plot bounds or the flipped y coordinates overflow float64.
+    Plots coordinates 0 and 1 (pass projected curves for another pair):
+    the original with a light stroke under the smoothed one, and a text
+    annotation of the point-count reduction.  Raises InvalidInputError for
+    a curve of under 2 coordinates, or when the padded plot bounds or the
+    flipped y coordinates overflow float64.
     """
-    if not isinstance(axes, (tuple, list)) or len(axes) != 2:
-        raise InvalidInputError(f"axes must be a pair of column indices, got {axes!r}")
-    ax, ay = (_as_int(a, "axis index") for a in axes)
-    for poly, name in ((original, "original"), (smoothed, "smoothed")):
-        if not (0 <= ax < poly.dimension and 0 <= ay < poly.dimension):
-            raise InvalidInputError(
-                f"axes {axes} out of range for {name} polyline of dimension {poly.dimension}"
-            )
+    if min(original.dimension, smoothed.dimension) < 2:
+        raise InvalidInputError("SVG overlay requires at least 2 coordinate columns")
 
-    xs = np.concatenate([original.points[:, ax], smoothed.points[:, ax]])
-    ys = np.concatenate([original.points[:, ay], smoothed.points[:, ay]])
+    xs = np.concatenate([original.points[:, 0], smoothed.points[:, 0]])
+    ys = np.concatenate([original.points[:, 1], smoothed.points[:, 1]])
     # Flip y inside the fixed viewBox so data y increases upward.  The
     # bounds are summed first, as in y_lo + y_hi - y, to round the same.
     # Near the float64 limit the padded bounds or the flip overflow.
@@ -231,7 +226,7 @@ def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0,
         y_lo, y_hi = _padded_bounds(ys.min(), ys.max())
         width = x_hi - x_lo
         height = y_hi - y_lo
-        flipped = [y_lo + y_hi - poly.points[:, ay] for poly in (original, smoothed)]
+        flipped = [y_lo + y_hi - poly.points[:, 1] for poly in (original, smoothed)]
     bounds = [x_lo, x_hi, y_lo, y_hi, width, height]
     if not (np.isfinite(bounds).all() and all(np.isfinite(f).all() for f in flipped)):
         raise InvalidInputError("coordinates too large to plot: the SVG bounds overflow float64")
@@ -239,7 +234,7 @@ def emit_svg(original: Polyline, smoothed: Polyline, axes: tuple[int, int] = (0,
 
     # Formatted like _num; the last point's trailing space is cut.
     original_path, smoothed_path = (
-        _format_rows(np.column_stack([poly.points[:, ax], fy]), "%.6g,%.6g ")[:-1]
+        _format_rows(np.column_stack([poly.points[:, 0], fy]), "%.6g,%.6g ")[:-1]
         for poly, fy in zip((original, smoothed), flipped)
     )
 

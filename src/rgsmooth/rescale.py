@@ -143,10 +143,11 @@ def rescale_fractional(chain: TangentChain, factor) -> TangentChain:
     f = _check_fractional(factor)
     t, num, den = chain.tangents, f.numerator, f.denominator
     first, c0, c1, c2 = _lattice_rows(t.shape[0], num, den)
-    out = t[first] * (c0 / float(den))[:, None] + t[first + 1] * (c1 / float(den))[:, None]
-    if num - den > 1:
-        three = c2 > 0
-        out[three] += (c2[three] / float(den))[:, None] * t[first[three] + 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = t[first] * (c0 / float(den))[:, None] + t[first + 1] * (c1 / float(den))[:, None]
+        if num - den > 1:
+            three = c2 > 0
+            out[three] += (c2[three] / float(den))[:, None] * t[first[three] + 2]
     return TangentChain(base=chain.base, tangents=out)
 
 
@@ -168,6 +169,7 @@ def rescale_integer(chain: TangentChain, factor: int) -> TangentChain:
         raise ChainTooShortError(f"cannot merge {chain.n_segments} segments by a factor of {factor}")
     t = chain.tangents
     acc = t[0 : n_new * factor : factor]
-    for offset in range(1, factor):
-        acc = acc + t[offset : n_new * factor : factor]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for offset in range(1, factor):
+            acc = acc + t[offset : n_new * factor : factor]
     return TangentChain(base=chain.base, tangents=acc)

@@ -186,9 +186,12 @@ def smooth_to_ratio(polyline: Polyline, target_cr_pct: float) -> SmoothingResult
     The step count is derived exactly, so a representable target is never
     missed by float noise: k = ceil((n_points) * target / 100).
     """
-    target = float(target_cr_pct)
-    if not 0.0 <= target < 100.0 or math.isnan(target):
-        raise InvalidInputError(f"target compression ratio must lie in [0, 100), got {target}")
+    try:
+        target = math.nan if isinstance(target_cr_pct, (str, bytes, bytearray)) else float(target_cr_pct)
+    except (TypeError, ValueError, OverflowError):
+        target = math.nan
+    if not 0.0 <= target < 100.0:
+        raise InvalidInputError(f"target compression ratio must lie in [0, 100), got {target_cr_pct!r}")
     n = polyline.n_segments
     k = math.ceil(Fraction(target) * (n + 1) / 100)
     if k > n - 1:

@@ -4,6 +4,7 @@ import io
 import itertools
 import re
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -58,7 +59,14 @@ class TestReadPoints:
 
     @pytest.mark.parametrize(
         "source, type_name",
-        [(12345, "int"), (None, "NoneType"), ([b"0,1", b"1,2"], "list"), (1.5, "float")],
+        [
+            (12345, "int"),
+            (None, "NoneType"),
+            ([b"0,1", b"1,2"], "list"),
+            (1.5, "float"),
+            (io.BytesIO, "type"),
+            (types.SimpleNamespace(read="0,1\n1,2\n"), "SimpleNamespace"),
+        ],
         ids=repr,
     )
     def test_other_sources_rejected_naming_the_type(self, source, type_name):
@@ -325,30 +333,30 @@ class TestWritersMatchElementwise:
             return lo - pad, hi + pad
 
         for pts in (points, points[(np.abs(points) < 1e300).all(axis=1)]):
-            original = Polyline(pts)
-            smoothed = Polyline(pts[::2])
-            for ax, ay in ((0, 1), (0, 2), (2, 0)):
-                xs = np.concatenate([pts[:, ax], smoothed.points[:, ax]])
-                ys = np.concatenate([pts[:, ay], smoothed.points[:, ay]])
+            for axes in ([0, 1], [0, 2], [2, 0]):
+                original = Polyline(pts[:, axes])
+                smoothed = Polyline(pts[::2, axes])
+                xs = np.concatenate([original.points[:, 0], smoothed.points[:, 0]])
+                ys = np.concatenate([original.points[:, 1], smoothed.points[:, 1]])
                 with np.errstate(over="ignore", invalid="ignore"):
                     (x_lo, x_hi), (y_lo, y_hi) = padded(xs), padded(ys)
                     sizes = [x_hi - x_lo, y_hi - y_lo]
                     view = " ".join(f"{float(v):.6g}" for v in [x_lo, y_lo, *sizes])
                     expected = [
                         " ".join(
-                            f"{float(p[ax]):.6g},{float(y_lo + y_hi - p[ay]):.6g}"
+                            f"{float(p[0]):.6g},{float(y_lo + y_hi - p[1]):.6g}"
                             for p in poly.points
                         )
                         for poly in (original, smoothed)
                     ]
                 if np.isfinite(sizes).all() and not re.search("inf|nan", "".join(expected)):
-                    svg = emit_svg(original, smoothed, axes=(ax, ay)).decode()
+                    svg = emit_svg(original, smoothed).decode()
                     assert f'viewBox="{view}"' in svg
                     for path in expected:
                         assert f'points="{path}"' in svg
                 else:
                     with pytest.raises(InvalidInputError, match="too large to plot"):
-                        emit_svg(original, smoothed, axes=(ax, ay))
+                        emit_svg(original, smoothed)
 
 
 def curve_pair():
@@ -377,21 +385,22 @@ class TestEmitSvg:
         assert 'viewBox="2.5 3.5 1 1"' in svg
 
     def test_3d_projection(self):
+        # The x-z view of a 3-D curve is the plot of its x and z columns:
+        # z runs 0..16 and is flipped to 16 - z, so x = 4 sits on top.
         pts = np.column_stack([np.arange(5.0), np.zeros(5), np.arange(5.0) ** 2])
-        p = Polyline(pts)
-        svg_xz = emit_svg(p, p, axes=(0, 2)).decode()
-        svg_xy = emit_svg(p, p, axes=(0, 1)).decode()
-        assert svg_xz != svg_xy
-        assert "16" in svg_xz  # z values reach 16 in the x-z projection
+        xz = Polyline(pts[:, [0, 2]])
+        svg = emit_svg(xz, xz).decode()
+        assert 'viewBox="-0.2 -0.8 4.4 17.6"' in svg
+        assert svg.count('points="0,16 1,15 2,12 3,7 4,0"') == 2
 
-    def test_axes_out_of_range(self):
+    @pytest.mark.parametrize("one_d", ["original", "smoothed"])
+    def test_one_coordinate_rejected(self, one_d):
         original, smoothed = curve_pair()
-        with pytest.raises(InvalidInputError):
-            emit_svg(original, smoothed, axes=(0, 2))
-        with pytest.raises(InvalidInputError):
-            emit_svg(original, smoothed, axes=(0.5, 1))
-        with pytest.raises(InvalidInputError):
-            emit_svg(original, smoothed, axes=(0, 1, 2))
+        curves = {"original": original, "smoothed": smoothed}
+        curves[one_d] = Polyline(curves[one_d].points[:, 0])
+        message = "^SVG overlay requires at least 2 coordinate columns$"
+        with pytest.raises(InvalidInputError, match=message):
+            emit_svg(**curves)
 
     def test_y_axis_flipped(self):
         # Larger data y must map to a smaller SVG y coordinate.

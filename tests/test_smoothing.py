@@ -1,6 +1,7 @@
 """Tests for the iterative smoothing driver."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -15,12 +16,14 @@ from rgsmooth import (
     InvalidInputError,
     Polyline,
     StepRecord,
+    TangentChain,
     TooManyStepsError,
     build_chain,
     compression_ratio,
     optimal_scaling,
     reconstruct,
     rescale_fractional,
+    rescale_integer,
     smooth,
     smooth_to_ratio,
 )
@@ -245,6 +248,15 @@ class TestSmoothToRatio:
             with pytest.raises(InvalidInputError):
                 smooth_to_ratio(p, bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["abc", "50", b"50", None, [1], 1 + 0j, 10**400],
+        ids=["str", "numeric-str", "bytes", "None", "list", "complex", "huge-int"],
+    )
+    def test_target_not_a_number_rejected_naming_it(self, bad):
+        with pytest.raises(InvalidInputError, match=f"got {re.escape(repr(bad))}$"):
+            smooth_to_ratio(noisy_curve(n_points=9), bad)
+
 
 class TestArrayLoopAndLazyTrace:
     @pytest.mark.parametrize("n_points", [3, 37, 401])
@@ -294,6 +306,22 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="overflowed float64 while smoothing"):
                 smooth(Polyline(points), 1)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: build_chain(Polyline([[-1e308], [1e308]])),
+            lambda: reconstruct(TangentChain([0.0], [[1e308], [1e308]])),
+            lambda: rescale_fractional(TangentChain([0.0], [[1.5e308]] * 3), Fraction(3, 2)),
+            lambda: rescale_integer(TangentChain([0.0], [[1e308], [1e308]]), 2),
+        ],
+        ids=["build_chain", "reconstruct", "rescale_fractional", "rescale_integer"],
+    )
+    def test_lower_level_api_one_error_and_no_warning(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="non-finite coordinates"):
+                call()
 
 
 # Unit coordinates: 0 or of magnitude 2**-20 to 1, so that no run comes
