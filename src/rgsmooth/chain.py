@@ -27,9 +27,14 @@ def _as_int(value, what: str) -> int:
 def _as_point_array(values, min_rows: int, what: str) -> NDArray[np.float64]:
     """Coerce to an owned, read-only (n, d) float64 array."""
     try:
-        arr = np.array(values, dtype=np.float64)
+        arr = np.asarray(values)
+        if arr.dtype.kind != "c":
+            arr = np.array(arr, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{what} must form a rectangular numeric array: {exc}") from None
+    if arr.dtype != np.float64:
+        # Casting complex values to float64 would drop their imaginary parts.
+        raise InvalidInputError(f"{what} must be real, got {arr.dtype} values")
     if arr.ndim == 1:
         # 1-D input is a scalar signal: one coordinate per point.
         arr = arr.reshape(-1, 1)
@@ -51,7 +56,7 @@ class Polyline:
 
     ``points`` is an (n_points, d) float64 array; a 1-D array is accepted
     and treated as a scalar signal of shape (n_points, 1).  Coordinates
-    must be finite.  Instances are immutable.
+    must be finite and real.  Instances are immutable.
     """
 
     points: NDArray[np.float64]

@@ -216,27 +216,29 @@ def emit_svg(original: Polyline, smoothed: Polyline) -> bytes:
     if min(original.dimension, smoothed.dimension) < 2:
         raise InvalidInputError("SVG overlay requires at least 2 coordinate columns")
 
-    xs = np.concatenate([original.points[:, 0], smoothed.points[:, 0]])
-    ys = np.concatenate([original.points[:, 1], smoothed.points[:, 1]])
-    # Flip y inside the fixed viewBox so data y increases upward.  The
-    # bounds are summed first, as in y_lo + y_hi - y, to round the same.
-    # Near the float64 limit the padded bounds or the flip overflow.
+    # Rows (x, y) of both curves.  Min and max go per column: along axis 0
+    # of the (N, 2) array they take over ten times as long.
+    xy = np.concatenate([original.points[:, :2], smoothed.points[:, :2]])
+    lo = np.array([xy[:, 0].min(), xy[:, 1].min()])
+    hi = np.array([xy[:, 0].max(), xy[:, 1].max()])
+    # A margin of 5 % of the span, or 0.5 on a flat axis.  y is flipped so
+    # data y grows upward, the bounds summed first as in y_lo + y_hi - y to
+    # round the same.  Near the float64 limit the frame or the flip overflow.
     with np.errstate(over="ignore", invalid="ignore"):
-        x_lo, x_hi = _padded_bounds(xs.min(), xs.max())
-        y_lo, y_hi = _padded_bounds(ys.min(), ys.max())
-        width = x_hi - x_lo
-        height = y_hi - y_lo
-        flipped = [y_lo + y_hi - poly.points[:, 1] for poly in (original, smoothed)]
-    bounds = [x_lo, x_hi, y_lo, y_hi, width, height]
-    if not (np.isfinite(bounds).all() and all(np.isfinite(f).all() for f in flipped)):
+        span = hi - lo
+        pad = np.where(span == 0.0, 0.5, 0.05 * span)
+        (x_lo, y_lo), (x_hi, y_hi) = lo - pad, hi + pad
+        width, height = x_hi - x_lo, y_hi - y_lo
+        xy[:, 1] = (y_lo + y_hi) - xy[:, 1]
+    if not (np.isfinite([x_lo, x_hi, y_lo, y_hi, width, height]).all() and np.isfinite(xy).all()):
         raise InvalidInputError("coordinates too large to plot: the SVG bounds overflow float64")
-    stroke = 0.006 * max(width, height)
-
-    # Formatted like _num; the last point's trailing space is cut.
-    original_path, smoothed_path = (
-        _format_rows(np.column_stack([poly.points[:, 0], fy]), "%.6g,%.6g ")[:-1]
-        for poly, fy in zip((original, smoothed), flipped)
-    )
+    stroke = _num(0.006 * max(width, height))
+    # The original, then the smoothed curve over it; points formatted like _num.
+    curves = [
+        f'<polyline fill="none" stroke="{colour}" stroke-width="{stroke}" '
+        f'points="{_format_rows(curve, "%.6g,%.6g ")[:-1]}"/>'
+        for colour, curve in zip(["#b0c4de", "#1a1a2e"], np.split(xy, [original.n_points]))
+    ]
 
     removed = original.n_points - smoothed.n_points
     ratio = (1.0 - smoothed.n_points / original.n_points) * 100.0
@@ -246,10 +248,7 @@ def emit_svg(original: Polyline, smoothed: Polyline) -> bytes:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{_num(x_lo)} {_num(y_lo)} {_num(width)} {_num(height)}">',
-        f'<polyline fill="none" stroke="#b0c4de" stroke-width="{_num(stroke)}" '
-        f'points="{original_path}"/>',
-        f'<polyline fill="none" stroke="#1a1a2e" stroke-width="{_num(stroke)}" '
-        f'points="{smoothed_path}"/>',
+        *curves,
         f'<text x="{_num(x_lo + 0.02 * width)}" y="{_num(y_lo + 0.07 * height)}" '
         f'font-family="sans-serif" font-size="{_num(font)}" fill="#1a1a2e">{label}</text>',
         "</svg>",
@@ -266,15 +265,6 @@ def _format_rows(points: np.ndarray, row: str) -> str:
     """
     blocks = (points[i:i + _BLOCK_ROWS] for i in range(0, len(points), _BLOCK_ROWS))
     return "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
-
-
-def _padded_bounds(lo: float, hi: float) -> tuple[float, float]:
-    """Bounds with a 5% margin; a degenerate axis falls back to unit size."""
-    span = hi - lo
-    if span == 0.0:
-        return lo - 0.5, hi + 0.5
-    pad = 0.05 * span
-    return lo - pad, hi + pad
 
 
 def _num(value: float) -> str:

@@ -60,6 +60,25 @@ class TestPolyline:
         with pytest.raises(InvalidInputError):
             Polyline([(0, 0), (np.inf, 1)])
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Polyline(np.array([1 + 2j, 3, 5j])),
+            lambda: Polyline(np.array([(0, 0), (1, 1j)], dtype=np.complex64)),
+            lambda: Polyline([np.complex128(1 + 2j), np.complex128(3), np.complex128(5j)]),
+            lambda: Polyline([1 + 2j, 3, 5j]),
+            lambda: TangentChain(base=np.array([1j, 0]), tangents=[(1, 0)]),
+            lambda: TangentChain(base=[0, 0], tangents=np.array([(1, 0), (0, 2j)])),
+        ],
+        ids=["array", "complex64", "numpy-scalars", "python-complex",
+             "chain-base", "chain-tangents"],
+    )
+    def test_complex_rejected(self, make):
+        # A float64 cast would drop the imaginary parts and only warn.
+        message = r"^[a-z ]+ must be real, got complex(64|128) values$"
+        with pytest.raises(InvalidInputError, match=message):
+            make()
+
     def test_points_are_immutable(self):
         p = Polyline([(0, 0), (1, 1)])
         with pytest.raises(ValueError):

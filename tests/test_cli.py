@@ -459,6 +459,21 @@ def test_usage_error_exit_2_one_line(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_cli_imports_nothing_beyond_numpy_and_stdlib():
+    # numpy is the only runtime dependency: importing the CLI after numpy
+    # may load only standard-library modules and rgsmooth itself.
+    script = (
+        "import sys, numpy\n"
+        "before = {m.partition('.')[0] for m in sys.modules}\n"
+        "import rgsmooth.cli\n"
+        "new = {m.partition('.')[0] for m in sys.modules} - before\n"
+        "print(' '.join(sorted(new - set(sys.stdlib_module_names) - {'rgsmooth'})))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["smooth", "--help"])

@@ -384,6 +384,19 @@ class TestEmitSvg:
         svg = emit_svg(p, p).decode()
         assert 'viewBox="2.5 3.5 1 1"' in svg
 
+    @pytest.mark.parametrize(
+        "points, view",
+        [
+            ([(3.0, 0.0), (3.0, 10.0)], "2.5 -0.5 1 11"),
+            ([(0.0, 4.0), (10.0, 4.0)], "-0.5 3.5 11 1"),
+        ],
+        ids=["flat-x", "flat-y"],
+    )
+    def test_one_flat_axis(self, points, view):
+        # The flat axis gets a margin of 0.5, the other 5 % of its span.
+        p = Polyline(points)
+        assert f'viewBox="{view}"' in emit_svg(p, p).decode()
+
     def test_3d_projection(self):
         # The x-z view of a 3-D curve is the plot of its x and z columns:
         # z runs 0..16 and is flipped to 16 - z, so x = 4 sits on top.
