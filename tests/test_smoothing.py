@@ -259,9 +259,10 @@ class TestSmoothToRatio:
 
 
 class TestArrayLoopAndLazyTrace:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n_points", [3, 37, 401])
-    def test_matches_chain_passes_bitwise_for_every_step_count(self, n_points):
-        p = noisy_curve(n_points=n_points, seed=n_points)
+    def test_matches_chain_passes_bitwise_for_every_step_count(self, n_points, dim):
+        p = noisy_curve(n_points=n_points, seed=n_points, dim=dim)
         curves, records = chain_passes(p, n_points - 2)
         for steps in range(n_points - 1):
             res = smooth(p, steps)
