@@ -30,7 +30,7 @@ def _as_point_array(values, min_rows: int, what: str) -> NDArray[np.float64]:
         arr = np.asarray(values)
         if arr.dtype.kind != "c":
             arr = np.array(arr, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{what} must form a rectangular numeric array: {exc}") from None
     if arr.dtype != np.float64:
         # Casting complex values to float64 would drop their imaginary parts.
@@ -119,15 +119,20 @@ def build_chain(polyline: Polyline) -> TangentChain:
         return TangentChain(base=pts[0], tangents=np.diff(pts, axis=0))
 
 
+def _rebuild(base: NDArray[np.float64], tangents: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The points of :func:`reconstruct` as a bare array, unchecked."""
+    pts = np.empty((tangents.shape[0] + 1, tangents.shape[1]))
+    pts[0] = base
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(tangents, axis=0, out=pts[1:])
+        pts[1:] += base
+    return pts
+
+
 def reconstruct(chain: TangentChain) -> Polyline:
     """Rebuild the polyline of a tangent chain.
 
     Point k is the base plus the running sum of the first k tangents, so
     the first output point equals the base bit for bit.
     """
-    n, d = chain.tangents.shape
-    pts = np.empty((n + 1, d), dtype=np.float64)
-    pts[0] = chain.base
-    with np.errstate(over="ignore", invalid="ignore"):
-        pts[1:] = chain.base + np.cumsum(chain.tangents, axis=0)
-    return Polyline(pts)
+    return Polyline(_rebuild(chain.base, chain.tangents))

@@ -140,7 +140,7 @@ def _parse_fast(text: str, schema: CsvSchema) -> np.ndarray | None:
             skiprows=int(schema.has_header),
             ndmin=2,
         )
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         return None
     if len(points) < 2 or not np.isfinite(points).all():
         return None

@@ -97,6 +97,8 @@ def _check_fractional(factor) -> Fraction:
 
 def _lattice_rows(n_old: int, num: int, den: int):
     """Arrays (first, c0, c1, c2) of the module docstring, one entry per row, at a/b = num/den."""
+    if n_old * den >= 2**63:  # every tick below, k*a and (first+1)*b included, is under n_old*b
+        raise InvalidScalingError(f"{n_old} segments at a factor of {Fraction(num, den)} overflow int64")
     n_new = (n_old * den) // num
     if n_new < 1:
         raise ChainTooShortError(f"cannot merge {n_old} segments by a factor of {Fraction(num, den)}")

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import Polyline, TangentChain, _as_int, build_chain, reconstruct
+from .chain import Polyline, _as_int, _rebuild
 from .errors import ChainTooShortError, InvalidInputError, TooManyStepsError
 
 
@@ -113,20 +113,16 @@ def compression_ratio(n_original_segments: int, n_current_segments: int) -> floa
     return (1.0 - (n_cur + 1) / (n_orig + 1)) * 100.0
 
 
-def _pass(t: np.ndarray, idx: np.ndarray, ks: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _pass(t: np.ndarray, pairs: np.ndarray, ramp: np.ndarray, w: np.ndarray) -> np.ndarray:
     """One pass over m tangents ``t``: m - 1 tangents, bit for bit rescale_fractional's."""
-    m = t.shape[0]
-    w1 = np.divide(ks[: m - 1], m - 1, out=w[: m - 1])
-    w0 = w1[::-1]
-    # Gathers, not slices, until ROADMAP item 1: the benchmark holds every output, so faster
-    # slices read as more RSS.  The output outlives the pass, so it is allocated after the
-    # temporary: glibc malloc then faults ~5x fewer pages per pass at n >= 2*10**4.
-    term = t[idx[1:m]]
-    term *= w1[:, None]
-    out = t[idx[: m - 1]]
-    out *= w0[:, None]
-    out += term
-    return out
+    m1, c = t.shape[0] - 1, pairs.shape[1]
+    # ramp is (n-1, ..., 1, 1, ..., n-1): its middle 2(m-1) values over m - 1 weigh t[k], t[k+1].
+    weights = np.divide(ramp[c - m1 : c + m1], m1, out=w[: 2 * m1]).reshape(2, m1, 1)
+    # One gather, not slices or take: until ROADMAP item 1 the benchmark reads their speed as RSS.
+    g = t[pairs[:, :m1]]
+    g *= weights
+    g[0] += g[1]
+    return g[0]
 
 
 def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
@@ -163,18 +159,18 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
     trace = SmoothingTrace(n_points=n_original + 1, n_steps=steps)
     if steps == 0:
         return SmoothingResult(output=polyline, trace=trace)
-    # The input is finite, so a non-finite tangent or point here can only
-    # come from an overflow; the chain and curve checks report it.
+    # The input is finite and every weight lies in (0, 1], so a non-finite tangent can only
+    # come from an overflow, and no later pass or sum makes it finite again.
+    ks, w = np.arange(1.0, n_original), np.empty(2 * n_original - 2)
+    pairs, ramp = np.arange(2)[:, None] + np.arange(n_original - 1), np.concatenate([ks[::-1], ks])
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            chain = build_chain(polyline)
-            tangents = chain.tangents
-            idx, ks, w = np.arange(n_original), np.arange(1.0, n_original), np.empty(n_original - 1)
-            for _ in range(steps):
-                tangents = _pass(tangents, idx, ks, w)
-            output = reconstruct(TangentChain(base=chain.base, tangents=tangents))
-        except InvalidInputError:
-            raise InvalidInputError("coordinates overflowed float64 while smoothing") from None
+        tangents = np.diff(polyline.points, axis=0)
+        for _ in range(steps):
+            tangents = _pass(tangents, pairs, ramp, w)
+    try:
+        output = Polyline(_rebuild(polyline.points[0], tangents))
+    except InvalidInputError:
+        raise InvalidInputError("coordinates overflowed float64 while smoothing") from None
     return SmoothingResult(output=output, trace=trace)
 
 

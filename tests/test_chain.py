@@ -1,5 +1,7 @@
 """Tests for the polyline / tangent-chain representations."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,13 @@ class TestPolyline:
         message = r"^[a-z ]+ must be real, got complex(64|128) values$"
         with pytest.raises(InvalidInputError, match=message):
             make()
+
+    @pytest.mark.parametrize(
+        "values", [[10**400, 1], [Fraction(10**400), 1]], ids=["int", "fraction"]
+    )
+    def test_beyond_float64_range_rejected(self, values):
+        with pytest.raises(InvalidInputError, match="^polyline points must form a rectangular"):
+            Polyline(values)
 
     def test_points_are_immutable(self):
         p = Polyline([(0, 0), (1, 1)])

@@ -108,6 +108,12 @@ class TestReadPoints:
             read_points("0,1\n2\n", CsvSchema(columns=(0, 1)))
         assert (err.value.row, err.value.column) == (2, 2)
 
+    def test_column_beyond_int64_reported_as_missing(self):
+        # np.loadtxt raises OverflowError on such an index; the row parser reports the row.
+        with pytest.raises(ParseError, match="^row 1 has 2 columns, column 10{29}1 requested$") as err:
+            read_points("1,2\n3,4\n", CsvSchema(columns=(10**30,)))
+        assert (err.value.row, err.value.column) == (1, 10**30 + 1)
+
     def test_custom_delimiter(self):
         p = read_points("0;1\n1;2\n", CsvSchema(delimiter=";"))
         assert p.dimension == 2

@@ -296,3 +296,30 @@ class TestRescaleInteger:
         a = rescale_integer(chain, 2).tangents
         b = rescale_fractional(chain, Fraction(2)).tangents
         assert a.tobytes() == b.tobytes()
+
+
+class TestInt64Ticks:
+    # n_old * den ticks overflow int64: 2**62 + 1 over 2**62 wrapped to rows over old
+    # segments -2 and -1, and the others raised bare OverflowError or ValueError.
+    WRAPS, BEYOND = Fraction(2**62 + 1, 2**62), Fraction(2**70 + 1, 2**70)
+
+    @pytest.mark.parametrize(
+        "n_old, factor", [(8, WRAPS), (8, BEYOND), (10**20, 2)], ids=["wraps", "beyond", "count"]
+    )
+    def test_overlap_coefficients_one_error(self, n_old, factor):
+        with pytest.raises(InvalidScalingError, match="overflow int64$"):
+            overlap_coefficients(n_old, factor)
+
+    @pytest.mark.parametrize("factor", [WRAPS, BEYOND], ids=["wraps", "beyond"])
+    def test_rescale_fractional_one_error(self, factor):
+        chain = TangentChain(base=(0.0,), tangents=np.arange(2.0, 10.0)[:, None])
+        with pytest.raises(InvalidScalingError, match="overflow int64$"):
+            rescale_fractional(chain, factor)
+
+    def test_exact_just_below_the_limit(self):
+        n_old, f = 7, Fraction(2**60 + 1, 2**60)  # 7 * 2**60 ticks < 2**63
+        expected = [
+            tuple((j, w) for j in range(n_old) if (w := min((k + 1) * f, j + 1) - max(k * f, j)) > 0)
+            for k in range(6)
+        ]
+        assert entries(overlap_coefficients(n_old, f)) == expected
