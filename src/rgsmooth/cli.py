@@ -174,8 +174,8 @@ def _write_all(outputs: list[tuple[str, bytes]]) -> None:
             direct.append((path, data))
         else:
             target = os.path.realpath(path)
-            head, tail = os.path.split(target)
-            tmp = os.path.join(head, f".{tail}.{os.getpid()}.{i}.tmp")
+            # Named from the pid and index alone: the target's own name may be NAME_MAX long.
+            tmp = os.path.join(os.path.dirname(target), f".rgsmooth-{os.getpid()}-{i}.tmp")
             staged.append((path, tmp, target, data))
     try:
         for path, tmp, _, data in staged:

@@ -20,7 +20,7 @@ import re
 
 import numpy as np
 
-from .chain import Polyline, _as_int
+from .chain import Polyline
 from .errors import InvalidInputError, ParseError
 
 # Rows per formatting block in write_points and emit_svg.
@@ -42,15 +42,14 @@ _NOT_DELIMITERS = "0123456789.+-e\r\n"
 class CsvSchema:
     """How to interpret a CSV point file.
 
-    ``columns`` selects which 0-based columns are coordinates (None means
-    all columns, in order).  ``has_header`` (a bool) skips the first row.  The
-    delimiter is one character that cannot occur in a written float or
-    end a row, so that writing and reading back is lossless.
+    Every column of every data row is a coordinate.  ``has_header`` (a
+    bool) skips the first row.  The delimiter is one character that cannot
+    occur in a written float or end a row, so that writing and reading
+    back is lossless.
     """
 
     delimiter: str = ","
     has_header: bool = False
-    columns: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
@@ -63,16 +62,6 @@ class CsvSchema:
         if not isinstance(self.has_header, int) or self.has_header not in (0, 1):
             raise InvalidInputError(f"has_header must be True or False, got {self.has_header!r}")
         object.__setattr__(self, "has_header", bool(self.has_header))
-        if self.columns is not None:
-            try:
-                columns = tuple(_as_int(c, "column index") for c in self.columns)
-            except TypeError:
-                raise InvalidInputError(f"columns must be a sequence, got {self.columns!r}") from None
-            object.__setattr__(self, "columns", columns)
-            if not self.columns:
-                raise InvalidInputError("columns must select at least one column")
-            if any(c < 0 for c in self.columns):
-                raise InvalidInputError("column indices must be non-negative")
 
 
 def read_points(source, schema: CsvSchema = CsvSchema()) -> Polyline:
@@ -136,7 +125,6 @@ def _parse_fast(text: str, schema: CsvSchema) -> np.ndarray | None:
             delimiter=schema.delimiter,
             comments=None,
             quotechar=None,
-            usecols=schema.columns,
             skiprows=int(schema.has_header),
             ndmin=2,
         )
@@ -156,15 +144,7 @@ def _parse_rows(text: str, schema: CsvSchema) -> np.ndarray:
         for row_no, row in enumerate(rows, 1):
             if (schema.has_header and row_no == 1) or all(cell.strip() == "" for cell in row):
                 continue
-            columns = schema.columns or range(len(row))
-            for col in columns:
-                if col >= len(row):
-                    raise ParseError(
-                        f"row {row_no} has {len(row)} columns, column {col + 1} requested",
-                        row=row_no,
-                        column=col + 1,
-                    )
-            coords = [_finite(row[col], row_no, col) for col in columns]
+            coords = [_finite(cell, row_no, col) for col, cell in enumerate(row)]
             if points and len(coords) != len(points[0]):
                 raise ParseError(
                     f"row {row_no} has {len(coords)} coordinates, expected {len(points[0])}",
@@ -241,7 +221,7 @@ def emit_svg(original: Polyline, smoothed: Polyline) -> bytes:
     ]
 
     removed = original.n_points - smoothed.n_points
-    ratio = (1.0 - smoothed.n_points / original.n_points) * 100.0
+    ratio = 100 * removed / original.n_points
     label = f"steps={removed} c.r.={ratio:.2f}%"
     font = 0.045 * max(width, height)
     parts = [

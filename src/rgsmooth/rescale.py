@@ -16,9 +16,9 @@ old segments, starting at first = k*a // b, with tick counts
     c0 = (first+1)*b - k*a,   c1 = min(b, a - c0),   c2 = a - c0 - c1.
 
 A third term needs a - b > 1: with a = b + 1, c0 >= 1 gives a - c0 <= b,
-so c1 = a - c0 and c2 = 0, and the smoothing driver's factor m/(m-1)
-never has one.  No rational reduction is needed, and coefficient
-matrices are bit-reproducible.
+so c1 = a - c0 and c2 = 0; at m/(m-1), row k spans old segments k and
+k+1 alone.  No rational reduction is needed, and coefficient matrices
+are bit-reproducible.
 
 Integer factors are handled separately by :func:`rescale_integer`, which
 simply sums consecutive runs of tangents.  Fractional factors must lie in
@@ -147,9 +147,8 @@ def rescale_fractional(chain: TangentChain, factor) -> TangentChain:
     first, c0, c1, c2 = _lattice_rows(t.shape[0], num, den)
     with np.errstate(over="ignore", invalid="ignore"):
         out = t[first] * (c0 / float(den))[:, None] + t[first + 1] * (c1 / float(den))[:, None]
-        if num - den > 1:
-            three = c2 > 0
-            out[three] += (c2[three] / float(den))[:, None] * t[first[three] + 2]
+        three = c2 > 0
+        out[three] += (c2[three] / float(den))[:, None] * t[first[three] + 2]
     return TangentChain(base=chain.base, tangents=out)
 
 

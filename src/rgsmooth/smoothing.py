@@ -102,7 +102,7 @@ def optimal_scaling(n_segments: int) -> Fraction:
 def compression_ratio(n_original_segments: int, n_current_segments: int) -> float:
     """Percentage of points removed relative to the original curve.
 
-    ``(1 - (n_current + 1) / (n_original + 1)) * 100``.
+    ``100 * (n_original - n_current) / (n_original + 1)``, rounded once.
     """
     n_orig = _as_int(n_original_segments, "original segment count")
     n_cur = _as_int(n_current_segments, "current segment count")
@@ -110,7 +110,7 @@ def compression_ratio(n_original_segments: int, n_current_segments: int) -> floa
         raise InvalidInputError(
             f"current segment count must lie in [1, {n_orig}], got {n_cur}"
         )
-    return (1.0 - (n_cur + 1) / (n_orig + 1)) * 100.0
+    return 100 * (n_orig - n_cur) / (n_orig + 1)
 
 
 def _pass(t: np.ndarray, pairs: np.ndarray, ramp: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -330,6 +330,16 @@ class TestSmoothCommand:
         assert content.count("<polyline") == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.csv", "plot.svg"]
 
+    def test_longest_names_written(self, tmp_path):
+        # 250-byte names, too long to carry a prefix and suffix into a temporary file's name.
+        src = noisy_input(tmp_path)
+        dst, svg = tmp_path / ("o" * 246 + ".csv"), tmp_path / ("p" * 246 + ".svg")
+        assert main(["smooth", "--input", str(src), "--output", str(dst),
+                     "--steps", "10", "--svg", str(svg)]) == 0
+        assert read_points(dst.read_bytes()).n_points == 11
+        assert svg.read_text().count("<polyline") == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["in.csv", dst.name, svg.name])
+
     def test_failed_svg_write_leaves_no_csv(self, tmp_path, capsys):
         src = noisy_input(tmp_path)
         svg = tmp_path / "absent" / "plot.svg"
@@ -504,6 +514,12 @@ class TestGenerateCommand:
         assert main(["generate", "--n", "11", "--seed", "3", "--output", str(out)]) == 0
         polyline = read_points(out.read_bytes())
         assert polyline.n_points == 11
+
+    def test_longest_name_written(self, tmp_path):
+        out = tmp_path / ("g" * 246 + ".csv")
+        assert main(["generate", "--n", "11", "--seed", "3", "--output", str(out)]) == 0
+        assert read_points(out.read_bytes()).n_points == 11
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
     def test_uncreatable_temporary_file_named_as_such(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "out.csv"

@@ -1,10 +1,10 @@
-"""Each demo script runs cleanly against the package in ``src``.
+"""Each demo script runs cleanly against the package in ``src``, which
+``conftest.py`` puts first on the demo's ``PYTHONPATH``.
 
 A demo is copied into a temporary directory first, so that the plots it
 writes beside itself land there and not in the repository.
 """
 
-import os
 import shutil
 import subprocess
 import sys
@@ -19,9 +19,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     script = shutil.copy(demo, tmp_path)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, script], cwd=tmp_path, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

@@ -99,21 +99,6 @@ class TestReadPoints:
             read_points("")
         assert not recwarn.list
 
-    def test_column_selection(self):
-        p = read_points("a,0,9\nb,1,8\n", CsvSchema(columns=(1, 2)))
-        assert np.array_equal(p.points, [(0, 9), (1, 8)])
-
-    def test_missing_selected_column(self):
-        with pytest.raises(ParseError) as err:
-            read_points("0,1\n2\n", CsvSchema(columns=(0, 1)))
-        assert (err.value.row, err.value.column) == (2, 2)
-
-    def test_column_beyond_int64_reported_as_missing(self):
-        # np.loadtxt raises OverflowError on such an index; the row parser reports the row.
-        with pytest.raises(ParseError, match="^row 1 has 2 columns, column 10{29}1 requested$") as err:
-            read_points("1,2\n3,4\n", CsvSchema(columns=(10**30,)))
-        assert (err.value.row, err.value.column) == (1, 10**30 + 1)
-
     def test_custom_delimiter(self):
         p = read_points("0;1\n1;2\n", CsvSchema(delimiter=";"))
         assert p.dimension == 2
@@ -129,16 +114,11 @@ class TestReadPoints:
     def test_schema_rejects_bad_delimiter(self):
         with pytest.raises(InvalidInputError):
             CsvSchema(delimiter=",,")
-        with pytest.raises(InvalidInputError):
-            CsvSchema(columns=(0, -1))
-        with pytest.raises(InvalidInputError):
-            CsvSchema(columns=())
 
     @pytest.mark.parametrize(
         "kwargs",
         [{"delimiter": c} for c in "0123456789.+-e\r\n"]
-        + [{"columns": (1.5,)}, {"columns": ("1",)}, {"columns": (0, None)}]
-        + [{"delimiter": None}, {"delimiter": b","}, {"columns": 5}]
+        + [{"delimiter": None}, {"delimiter": b","}]
         + [{"has_header": 2}, {"has_header": "no"}],
         ids=repr,
     )
@@ -176,7 +156,7 @@ class TestReadPoints:
 
     def test_plain_numbers_take_fast_parse(self):
         assert _parse_fast("0,1\r\n1,2\r\n", CsvSchema()) is not None
-        assert _parse_fast("x;y\n0;1;a\n1;2;b\n", CsvSchema(";", True, (0, 1))) is not None
+        assert _parse_fast("x;y\n0;1\n1;2\n", CsvSchema(";", True)) is not None
         assert _parse_fast('0,1\n"1",2\n', CsvSchema()) is None
 
 
@@ -203,9 +183,7 @@ def csv_texts(draw):
         row = st.tuples(st.lists(_CELLS, min_size=width, max_size=width), _ENDINGS)
         rows = draw(st.lists(row, min_size=2, max_size=8))
         text = "".join("DELIM".join(cells) + ending for cells, ending in rows)
-    columns = st.lists(st.integers(0, width - 1), min_size=1, max_size=3).map(tuple)
-    columns = draw(st.none() | columns)
-    schema = CsvSchema(delimiter=delimiter, has_header=draw(st.booleans()), columns=columns)
+    schema = CsvSchema(delimiter=delimiter, has_header=draw(st.booleans()))
     return text.replace("DELIM", delimiter), schema
 
 
@@ -221,7 +199,7 @@ def _outcome(parse):
 @given(csv_texts())
 @example(("x\ry\n0,1\n1,2\n", CsvSchema(has_header=True)))  # bare CR in the header
 @example(('"x\n0,1\n1,2\n', CsvSchema(has_header=True)))  # header opens a quoted field
-@example(('"a,0\n",1\n2,3\n', CsvSchema(columns=(1,))))  # quoted newline, unused column
+@example(('"a,0\n",1\n2,3\n', CsvSchema()))  # quoted newline
 @example(("", CsvSchema()))  # nothing but whitespace, with or without a header line
 @example(("\n\n", CsvSchema()))
 @example(("x\n", CsvSchema(has_header=True)))

@@ -15,6 +15,8 @@ from rgsmooth import (
     ChainTooShortError,
     InvalidInputError,
     Polyline,
+    SmoothingResult,
+    SmoothingTrace,
     StepRecord,
     TangentChain,
     TooManyStepsError,
@@ -27,6 +29,7 @@ from rgsmooth import (
     smooth,
     smooth_to_ratio,
 )
+from rgsmooth import smoothing
 
 from oracles import exact_smooth
 
@@ -231,6 +234,33 @@ class TestSmoothToRatio:
             94.0594059405, abs=1e-6
         )
         assert res.trace.steps[-1].compression_ratio_pct >= 94.0
+
+    def test_last_record_meets_the_target(self):
+        # 3 of 30 points removed is 10 %; with the ratio rounded twice the record read 9.999999999999998.
+        res = smooth_to_ratio(noisy_curve(n_points=30), 10.0)
+        assert len(res.trace) == 3
+        assert res.trace.steps[-1].compression_ratio_pct >= 10.0
+
+    def test_every_reachable_integer_target_met(self, monkeypatch):
+        # The last record of k passes over n segments holds compression_ratio(n, n - k), so
+        # the passes are skipped and only smooth_to_ratio's choice of k is run, for 3-1000 points.
+        monkeypatch.setattr(
+            smoothing, "smooth", lambda p, k: SmoothingResult(p, SmoothingTrace(p.n_points, k))
+        )
+        met, short = 0, []
+        for n_points in range(3, 1001):
+            p, n = Polyline(np.arange(float(n_points))[:, None]), n_points - 1
+            for target in range(1, 100):
+                try:
+                    k = len(smooth_to_ratio(p, target).trace)
+                except TooManyStepsError:
+                    continue
+                if compression_ratio(n, n - k) >= target:
+                    met += 1
+                else:
+                    short.append((n_points, target))
+        assert short == []
+        assert met == 98014
 
     def test_target_zero_is_identity(self):
         p = noisy_curve(n_points=9)
