@@ -90,6 +90,27 @@ class TestReadPoints:
             read_points("0,1\n1,2,3\n")
         assert err.value.row == 2
 
+    def test_short_row_is_inconsistent_dimension(self):
+        with pytest.raises(ParseError, match="^row 2 has 1 coordinates, expected 2$") as err:
+            read_points("0,1\n2\n")
+        assert (err.value.row, err.value.column) == (2, None)
+
+    def test_every_column_is_a_coordinate(self):
+        text = "0,9,1\n1,8,2\n"
+        # The vectorized parse and the row parser agree, and a quoted cell takes the latter.
+        assert np.array_equal(_parse_fast(text, CsvSchema()), [(0, 9, 1), (1, 8, 2)])
+        assert np.array_equal(_parse_rows(text, CsvSchema()), [(0, 9, 1), (1, 8, 2)])
+        assert np.array_equal(read_points('"0",9,1\n1,8,2\n').points, [(0, 9, 1), (1, 8, 2)])
+
+    def test_text_column_is_parse_error(self):
+        with pytest.raises(ParseError, match="^row 1, column 1: 'a' is not a number$") as err:
+            read_points("a,0,9\nb,1,8\n")
+        assert (err.value.row, err.value.column) == (1, 1)
+
+    def test_projection_selects_columns(self):
+        p = Polyline(read_points("5,0,9\n6,1,8\n").points[:, [1, 2]])
+        assert np.array_equal(p.points, [(0, 9), (1, 8)])
+
     def test_too_few_rows(self):
         with pytest.raises(InvalidInputError):
             read_points("0,1\n")
