@@ -24,7 +24,7 @@ noisy = Polyline(helix + rng.normal(0.0, 0.08, size=helix.shape))
 
 result = smooth(noisy, steps=90)
 print(f"{noisy.n_points} noisy points -> {result.output.n_points} points "
-      f"(c.r. {result.trace.steps[-1].compression_ratio_pct:.1f}%)")
+      f"(c.r. {result.trace[-1].compression_ratio_pct:.1f}%)")
 
 first_in, last_in = noisy.points[0], noisy.points[-1]
 first_out, last_out = result.output.points[0], result.output.points[-1]

@@ -31,7 +31,7 @@ for steps in (1, 50, 80, 95):
     result = smooth(curve, steps)
     pts = result.output.points
     rmse = np.sqrt(np.mean((pts[:, 1] - np.sin(pts[:, 0])) ** 2))
-    final = result.trace.steps[-1]
+    final = result.trace[-1]
     print(
         f"steps={steps:3d}: {result.output.n_points:3d} points left, "
         f"c.r.={final.compression_ratio_pct:5.1f}%, "
@@ -42,7 +42,7 @@ for steps in (1, 50, 80, 95):
 
 print()
 print("the first few schedule records of the 95-step run:")
-for rec in result.trace.steps[:4]:  # the loop's last run
+for rec in result.trace[:4]:  # the loop's last run
     print(
         f"  pass {rec.step}: {rec.n_before} -> {rec.n_after} segments, "
         f"factor {rec.factor}, c.r. {rec.compression_ratio_pct:.2f}%"

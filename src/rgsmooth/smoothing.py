@@ -10,15 +10,15 @@ rounding.  The number of passes is the method's only tuning parameter.
 A pass works on the bare tangent array; only the run's input and output
 are wrapped as validated curves.  The per-pass schedule depends on
 nothing but the input's point count and the number of passes, so a
-:class:`SmoothingTrace` stores just those two numbers and builds its
-records on first access.
+:class:`SmoothingTrace` stores just those two numbers and keeps no
+records: indexing it builds the one record asked for.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -44,41 +44,51 @@ class StepRecord:
 
 
 @dataclasses.dataclass(frozen=True)
-class SmoothingTrace:
-    """Per-pass schedule of one smoothing run.
+class SmoothingTrace(Sequence[StepRecord]):
+    """Per-pass schedule of one smoothing run: a sequence of :class:`StepRecord`.
 
     ``n_points`` is the point count of the run's input and ``n_steps``
-    the number of passes.  ``steps``, one :class:`StepRecord` per pass,
-    is computed from these two numbers on first access and then kept, so
-    a run whose trace is never read pays nothing for it.  ``len()`` needs
-    no records.
+    the number of passes, from 0 to ``n_points - 2``.  The records follow
+    from these two numbers, so the trace keeps none: ``trace[i]`` builds
+    record i, a slice builds a tuple of them, and ``len()`` builds none.
+
+    A non-integer count or a negative ``n_steps`` raises InvalidInputError;
+    more than ``n_points - 2`` steps raise TooManyStepsError with the maximum.
     """
 
     n_points: int
     n_steps: int
 
-    @functools.cached_property
-    def steps(self) -> tuple[StepRecord, ...]:
-        n_original = self.n_points - 1
-        records = []
-        for step in range(1, self.n_steps + 1):
-            n_before = n_original - step + 1
-            records.append(
-                StepRecord(
-                    step=step,
-                    n_before=n_before,
-                    factor=optimal_scaling(n_before),
-                    n_after=n_before - 1,
-                    compression_ratio_pct=compression_ratio(n_original, n_before - 1),
-                )
+    def __post_init__(self) -> None:
+        n_points = _as_int(self.n_points, "point count")
+        n_steps = _as_int(self.n_steps, "step count")
+        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "n_steps", n_steps)
+        max_steps = n_points - 2
+        if n_steps < 0:
+            raise InvalidInputError(f"step count must be non-negative, got {n_steps}")
+        if n_steps > max_steps:
+            raise TooManyStepsError(
+                f"{n_steps} steps requested but a curve of {n_points} points "
+                f"allows at most {max_steps}",
+                max_steps=max_steps,
             )
-        return tuple(records)
 
     def __len__(self) -> int:
         return self.n_steps
 
-    def __iter__(self):
-        return iter(self.steps)
+    def __getitem__(self, index) -> StepRecord | tuple[StepRecord, ...]:
+        step = range(1, self.n_steps + 1)[index]
+        if isinstance(step, range):
+            return tuple(self[s - 1] for s in step)
+        n_before = self.n_points - step
+        return StepRecord(
+            step=step,
+            n_before=n_before,
+            factor=optimal_scaling(n_before),
+            n_after=n_before - 1,
+            compression_ratio_pct=compression_ratio(self.n_points - 1, n_before - 1),
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,8 +146,8 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
 
     Returns
     -------
-    SmoothingResult with the smoothed curve and the per-pass trace.  The
-    trace's records are built only when read.
+    SmoothingResult with the smoothed curve and the per-pass trace, whose
+    records are built only when indexed.
 
     Raises
     ------
@@ -145,27 +155,17 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
         tangent beyond the float64 range.
     TooManyStepsError : ``steps > n_segments - 1``; carries the maximum.
     """
-    steps = _as_int(steps, "step count")
-    n_original = polyline.n_segments
-    max_steps = n_original - 1
-    if steps < 0:
-        raise InvalidInputError(f"step count must be non-negative, got {steps}")
-    if steps > max_steps:
-        raise TooManyStepsError(
-            f"{steps} steps requested but a curve of {n_original + 1} points "
-            f"allows at most {max_steps}",
-            max_steps=max_steps,
-        )
-    trace = SmoothingTrace(n_points=n_original + 1, n_steps=steps)
-    if steps == 0:
+    trace = SmoothingTrace(n_points=polyline.n_points, n_steps=steps)
+    if trace.n_steps == 0:
         return SmoothingResult(output=polyline, trace=trace)
+    n_original = polyline.n_segments
     # The input is finite and every weight lies in (0, 1], so a non-finite tangent can only
     # come from an overflow, and no later pass or sum makes it finite again.
     ks, w = np.arange(1.0, n_original), np.empty(2 * n_original - 2)
     pairs, ramp = np.arange(2)[:, None] + np.arange(n_original - 1), np.concatenate([ks[::-1], ks])
     with np.errstate(over="ignore", invalid="ignore"):
         tangents = np.diff(polyline.points, axis=0)
-        for _ in range(steps):
+        for _ in range(trace.n_steps):
             tangents = _pass(tangents, pairs, ramp, w)
     try:
         output = Polyline(_rebuild(polyline.points[0], tangents))

@@ -143,7 +143,7 @@ class TestSmooth:
         res = smooth(p, 0)
         assert res.output is p
         assert len(res.trace) == 0
-        assert res.trace.steps == ()
+        assert tuple(res.trace) == ()
 
     def test_negative_steps_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -230,32 +230,32 @@ class TestSmoothToRatio:
     def test_target_94_on_101_points(self):
         res = smooth_to_ratio(noisy_curve(), 94.0)
         assert len(res.trace) == 95
-        assert res.trace.steps[-1].compression_ratio_pct == pytest.approx(
+        assert res.trace[-1].compression_ratio_pct == pytest.approx(
             94.0594059405, abs=1e-6
         )
-        assert res.trace.steps[-1].compression_ratio_pct >= 94.0
+        assert res.trace[-1].compression_ratio_pct >= 94.0
 
     def test_last_record_meets_the_target(self):
         # 3 of 30 points removed is 10 %; with the ratio rounded twice the record read 9.999999999999998.
         res = smooth_to_ratio(noisy_curve(n_points=30), 10.0)
         assert len(res.trace) == 3
-        assert res.trace.steps[-1].compression_ratio_pct >= 10.0
+        assert res.trace[-1].compression_ratio_pct >= 10.0
 
     def test_every_reachable_integer_target_met(self, monkeypatch):
-        # The last record of k passes over n segments holds compression_ratio(n, n - k), so
-        # the passes are skipped and only smooth_to_ratio's choice of k is run, for 3-1000 points.
+        # The trace depends only on the point and pass counts, so the passes are skipped
+        # and only smooth_to_ratio's choice of k is run, for 3-1000 points.
         monkeypatch.setattr(
             smoothing, "smooth", lambda p, k: SmoothingResult(p, SmoothingTrace(p.n_points, k))
         )
         met, short = 0, []
         for n_points in range(3, 1001):
-            p, n = Polyline(np.arange(float(n_points))[:, None]), n_points - 1
+            p = Polyline(np.arange(float(n_points))[:, None])
             for target in range(1, 100):
                 try:
-                    k = len(smooth_to_ratio(p, target).trace)
+                    last = smooth_to_ratio(p, target).trace[-1]
                 except TooManyStepsError:
                     continue
-                if compression_ratio(n, n - k) >= target:
+                if last.compression_ratio_pct >= target:
                     met += 1
                 else:
                     short.append((n_points, target))
@@ -297,7 +297,7 @@ class TestArrayLoopAndLazyTrace:
         for steps in range(n_points - 1):
             res = smooth(p, steps)
             assert res.output.points.tobytes() == curves[steps].tobytes()
-            assert res.trace.steps == tuple(records[:steps])
+            assert tuple(res.trace) == tuple(records[:steps])
             assert len(res.trace) == steps
 
     @pytest.mark.parametrize("n_points", [10001, 100001])
@@ -308,13 +308,48 @@ class TestArrayLoopAndLazyTrace:
         curves, _ = chain_passes(p, 3)
         assert smooth(p, 3).output.points.tobytes() == curves[3].tobytes()
 
-    def test_steps_built_once_and_only_when_read(self):
-        trace = smooth(noisy_curve(n_points=21), 12).trace
-        assert len(trace) == 12
-        assert "steps" not in trace.__dict__
-        first = trace.steps
-        assert trace.steps is first
-        assert list(trace) == list(first)
+    def test_indexing_builds_chain_passes_records(self):
+        _, records = chain_passes(noisy_curve(n_points=21), 19)
+        trace = SmoothingTrace(21, 19)
+        for i in range(-19, 19):
+            assert trace[i] == records[i]
+        for cut in [slice(None), slice(None, None, -1), slice(3, 10, 2), slice(-5, None), slice(40, None)]:
+            assert trace[cut] == tuple(records[cut])
+        assert tuple(trace) == tuple(records)
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 19])
+    def test_index_past_either_end_raises(self, n_steps):
+        trace = SmoothingTrace(21, n_steps)
+        for i in (n_steps, -n_steps - 1):
+            with pytest.raises(IndexError):
+                trace[i]
+
+    def test_last_record_builds_one_factor(self, monkeypatch):
+        calls = []
+
+        def counted(n_segments):
+            calls.append(n_segments)
+            return optimal_scaling(n_segments)
+
+        monkeypatch.setattr(smoothing, "optimal_scaling", counted)
+        assert SmoothingTrace(100001, 99999)[-1].factor == Fraction(2)
+        assert calls == [2]
+
+    @pytest.mark.parametrize(
+        "n_steps, error", [(-1, InvalidInputError), (1.5, InvalidInputError), (4, TooManyStepsError)]
+    )
+    def test_direct_construction_checks_steps_as_smooth_does(self, n_steps, error):
+        with pytest.raises(error) as direct:
+            SmoothingTrace(5, n_steps)
+        with pytest.raises(error) as via_smooth:
+            smooth(noisy_curve(n_points=5), n_steps)
+        assert str(direct.value) == str(via_smooth.value)
+        if error is TooManyStepsError:
+            assert direct.value.max_steps == via_smooth.value.max_steps == 3
+
+    def test_direct_construction_rejects_non_integer_point_count(self):
+        with pytest.raises(InvalidInputError, match="point count must be an integer, got 5.5"):
+            SmoothingTrace(5.5, 1)
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_output_read_only_and_unshared(self, dim):
@@ -397,6 +432,16 @@ def polyline_length(points):
     return np.sqrt((np.diff(points, axis=0) ** 2).sum(axis=1)).sum()
 
 
+# Tangents of magnitude from subnormal to 1e300, and zeros.  No pass of such
+# a chain overflows: each new tangent is a convex combination of two old ones.
+_TANGENT = st.just(0.0) | st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300)
+
+
+def sign_changes(column):
+    signs = np.sign(column[column != 0])
+    return np.count_nonzero(signs[1:] != signs[:-1])
+
+
 class TestExactReferenceAndInvariants:
     @settings(max_examples=100, deadline=None)
     @given(curves())
@@ -426,6 +471,19 @@ class TestExactReferenceAndInvariants:
         pts, steps = case
         out = smooth(Polyline(pts), steps).output.points
         assert (np.diff(out[:, 0]) > 0).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(2, 60), st.integers(1, 3)), elements=_TANGENT))
+    def test_turning_points_never_multiply(self, tangents):
+        # A new tangent is fl(fl(w0 * a) + fl(w1 * b)) with w0, w1 > 0, so it is 0 or has
+        # the sign of a or b: an alternating run of signs after a pass picks out one at
+        # least as long before it.  Rebuilt points would add the rounding of their sums.
+        chain = TangentChain(np.zeros(tangents.shape[1]), tangents)
+        while chain.n_segments > 1:
+            before = [sign_changes(column) for column in chain.tangents.T]
+            chain = rescale_fractional(chain, optimal_scaling(chain.n_segments))
+            after = [sign_changes(column) for column in chain.tangents.T]
+            assert all(a <= b for a, b in zip(after, before))
 
     @settings(max_examples=100, deadline=None)
     @given(curves(), st.lists(st.integers(-30, 30), min_size=3, max_size=3))
@@ -466,25 +524,33 @@ class TestExactReferenceAndInvariants:
         # smooth is linear and acts on each axis alone, so smoothing the
         # identity gives the exact weight matrix W of s passes: output point
         # k is sum_j W[k][j] * P[j].  smooth's own matrix is W up to rounding.
+        # Row k has mean k*N/M and variance N*s*k*(M - k) / (M^2 * (M + 1)),
+        # README's bandwidth law, where M = N - s segments are left.
         N = n - 1
         for s in range(1, n - 1):
+            M = N - s
             W = exact_smooth(np.eye(n), s)
             out = smooth(Polyline(np.eye(n)), s).output.points
             assert np.abs(out - np.array(W, dtype=np.float64)).max() <= error_bound(np.eye(n))
             for k, row in enumerate(W):
                 assert all(w >= 0 for w in row)
                 assert sum(row) == 1
-                assert sum(j * w for j, w in enumerate(row)) == Fraction(k * N, N - s)
+                mean = Fraction(k * N, M)
+                assert sum(j * w for j, w in enumerate(row)) == mean
+                assert sum((j - mean) ** 2 * w for j, w in enumerate(row)) == Fraction(
+                    N * s * k * (M - k), M * M * (M + 1)
+                )
                 support = [j for j, w in enumerate(row) if w]
                 assert support == list(range(support[0], support[-1] + 1))
                 assert len(support) <= s + 1
 
     @pytest.mark.parametrize("s", [10, 100])
     def test_moment_curve_bandwidth_matches_weight_matrix_at_1001(self, s):
-        # README's recipe at the size of its table, against sigma from the
-        # rows of smooth's own weight matrix.  The endpoints (sigma = 0) are
-        # left out: there the moment difference is float noise.  A variance
-        # that noise makes negative is read as 0, so sqrt does not warn.
+        # The moment-curve recipe of demos/coefficient_structure.py at the
+        # size of README's table, against sigma from the rows of smooth's own
+        # weight matrix.  The endpoints (sigma = 0) are left out: there the
+        # moment difference is float noise.  A variance that noise makes
+        # negative is read as 0, so sqrt does not warn.
         n = 1001
         j = np.arange(n) - n / 2
         m = smooth(Polyline(np.column_stack([j, j * j])), s).output.points
