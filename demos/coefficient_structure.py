@@ -10,9 +10,10 @@ and when n / f is an integer every column sums to exactly 1 (nothing is
 lost).  When n / f is not an integer the tail of the chain is dropped.
 
 The last part composes s passes of the smoothing driver into one weight
-matrix and prints the width and spread of its middle row.  It then takes
-the spread of every row from one 2-column run instead, and prints it near
-the first endpoint and in the middle: the ends are smoothed much less.
+matrix and prints the width and spread of its middle row.  Beside it, it
+prints the spread that the exact law gives near the first endpoint and in
+the middle: for N input segments and M = N - s left, output k has variance
+N*s*k*(M - k) / (M^2 * (M + 1)), so the ends are smoothed much less.
 """
 
 from fractions import Fraction
@@ -45,19 +46,17 @@ print(overlap_coefficients(5, Fraction(5, 4)).to_dense())
 n = 1001
 for s in (10, 100):
     W = smooth(Polyline(np.eye(n)), s).output.points
-    k = (n - s) // 2
+    N, M = n - 1, n - 1 - s
+    k = M // 2
     row = W[k]
     support = np.flatnonzero(row > 1e-12)  # float noise of the passes is ~1e-15
     j = np.arange(n)
     centre = row @ j
     sd = np.sqrt(row @ (j - centre) ** 2)
     print(f"\n{s} passes on {n} points, middle row {k}: centre {centre:.4f} "
-          f"(k*N/(N-s) = {k * (n - 1) / (n - 1 - s):.4f}), window {support[0]}..{support[-1]} "
+          f"(k*N/M = {k * N / M:.4f}), window {support[0]}..{support[-1]} "
           f"({support.size} inputs, at most {s + 1}), standard deviation {sd:.3f} samples")
-    # The same spread for every row without the n x n matrix: smoothing the
-    # curve (j - c, (j - c)^2) gives each row's mean and second moment.
-    d = j - n / 2
-    moments = smooth(Polyline(np.column_stack([d, d * d])), s).output.points
-    sigma = np.sqrt(np.maximum(moments[:, 1] - moments[:, 0] ** 2, 0.0))
-    print(f"  standard deviation from the moment curve: {sigma[1]:.3f} at k = 1, "
-          f"{sigma[5]:.3f} at k = 5, {sigma[k]:.3f} at the middle row")
+    ks = np.array([1, 5, k])
+    sigma = np.sqrt(N * s * ks * (M - ks) / (M * M * (M + 1)))
+    print(f"  standard deviation from the law: {sigma[0]:.3f} at k = 1, "
+          f"{sigma[1]:.3f} at k = 5, {sigma[2]:.3f} at the middle row")

@@ -52,8 +52,8 @@ class SmoothingTrace(Sequence[StepRecord]):
     from these two numbers, so the trace keeps none: ``trace[i]`` builds
     record i, a slice builds a tuple of them, and ``len()`` builds none.
 
-    A non-integer count or a negative ``n_steps`` raises InvalidInputError;
-    more than ``n_points - 2`` steps raise TooManyStepsError with the maximum.
+    InvalidInputError: a non-integer count, ``n_points`` < 2 or ``n_steps`` < 0.
+    TooManyStepsError, carrying the maximum: over ``n_points - 2`` steps.
     """
 
     n_points: int
@@ -64,6 +64,8 @@ class SmoothingTrace(Sequence[StepRecord]):
         n_steps = _as_int(self.n_steps, "step count")
         object.__setattr__(self, "n_points", n_points)
         object.__setattr__(self, "n_steps", n_steps)
+        if n_points < 2:
+            raise InvalidInputError(f"point count must be at least 2, got {n_points}")
         max_steps = n_points - 2
         if n_steps < 0:
             raise InvalidInputError(f"step count must be non-negative, got {n_steps}")

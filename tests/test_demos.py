@@ -1,11 +1,13 @@
 """Each demo script, and README's library quickstart, runs cleanly against
 the package in ``src``, which ``conftest.py`` puts first on the
-subprocess's ``PYTHONPATH``.
+subprocess's ``PYTHONPATH``; README's table of the s-pass window follows
+its law.
 
 A demo is copied into a temporary directory first, so that the plots it
 writes beside itself land there and not in the repository.
 """
 
+import math
 import re
 import shutil
 import subprocess
@@ -16,6 +18,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# How many "...: True" self-check lines each demo prints.
+SELF_CHECKS = {"helix_3d": 1, "integer_coarsening": 1}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -26,6 +30,10 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    # A printed self-check, such as "whole == per-axis: True", must hold.
+    checks = re.findall(r"^(.*): (True|False)$", proc.stdout, re.MULTILINE)
+    assert len(checks) == SELF_CHECKS.get(demo.stem, 0), checks
+    assert all(result == "True" for _, result in checks), checks
 
 
 def test_readme_quickstart_runs(tmp_path):
@@ -40,3 +48,21 @@ def test_readme_quickstart_runs(tmp_path):
     shape, record = proc.stdout.splitlines()
     assert shape == "(51, 2)"
     assert "factor=Fraction(51, 50)" in record and "compression_ratio_pct=49.5" in record
+
+
+def test_readme_pass_count_table_follows_the_law():
+    # Every cell of the table under "What the pass count does", recomputed
+    # from sigma_k^2 = N*s*k*(M - k) / (M^2 * (M + 1)) at n = 1001 (N = 1000
+    # segments, M = N - s left) and compared at the digits it is printed with.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What the pass count does", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (\d+) \| (\S+) \| (\S+) \| (\S+) / (\S+) \|$", section, re.MULTILINE)
+    assert [int(row[0]) for row in rows] == [10, 100, 400]
+    N = 1000
+    for s, *cells in rows:
+        s = int(s)
+        M = N - s
+        mid, first, fifth = [math.sqrt(N * s * k * (M - k) / (M * M * (M + 1))) for k in (M / 2, 1, 5)]
+        values = [mid, mid / math.sqrt(s), first, fifth]
+        for printed, value in zip(cells, values):
+            assert printed == f"{value:.{len(printed.partition('.')[2])}f}", (s, printed, value)

@@ -351,6 +351,12 @@ class TestArrayLoopAndLazyTrace:
         with pytest.raises(InvalidInputError, match="point count must be an integer, got 5.5"):
             SmoothingTrace(5.5, 1)
 
+    @pytest.mark.parametrize("n_points", [1, 0, -3])
+    def test_direct_construction_rejects_point_count_below_two(self, n_points):
+        # Checked before the steps, so no TooManyStepsError with a negative maximum.
+        with pytest.raises(InvalidInputError, match=f"point count must be at least 2, got {n_points}$"):
+            SmoothingTrace(n_points, 0)
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_output_read_only_and_unshared(self, dim):
         shape = (31,) if dim == 1 else (31, dim)
@@ -544,14 +550,15 @@ class TestExactReferenceAndInvariants:
                 assert support == list(range(support[0], support[-1] + 1))
                 assert len(support) <= s + 1
 
-    @pytest.mark.parametrize("s", [10, 100])
+    @pytest.mark.parametrize("s", [10, 100, 400])
     def test_moment_curve_bandwidth_matches_weight_matrix_at_1001(self, s):
-        # The moment-curve recipe of demos/coefficient_structure.py at the
-        # size of README's table, against sigma from the rows of smooth's own
+        # At the size of README's table, sigma from the moment curve and from
+        # the bandwidth law, against sigma from the rows of smooth's own
         # weight matrix.  The endpoints (sigma = 0) are left out: there the
         # moment difference is float noise.  A variance that noise makes
         # negative is read as 0, so sqrt does not warn.
         n = 1001
+        N, M = n - 1, n - 1 - s
         j = np.arange(n) - n / 2
         m = smooth(Polyline(np.column_stack([j, j * j])), s).output.points
         by_moments = np.sqrt(np.maximum(m[:, 1] - m[:, 0] ** 2, 0.0))
@@ -559,13 +566,21 @@ class TestExactReferenceAndInvariants:
         centred = j - (W @ j)[:, None]
         by_weights = np.sqrt(np.maximum((W * centred**2).sum(axis=1), 0.0))
         np.testing.assert_allclose(by_moments[1:-1], by_weights[1:-1], rtol=1e-6, atol=0)
+        k = np.arange(M + 1)
+        by_law = np.sqrt(N * s * k * (M - k) / (M * M * (M + 1)))
+        np.testing.assert_allclose(by_law[1:-1], by_weights[1:-1], rtol=1e-6, atol=0)
+        # README's noise gain: the middle row's squared weights sum to within
+        # 1.3 % of 1 / (2 sqrt(pi) sigma_mid).  M is even, so row M / 2 is the middle.
+        mid = M // 2
+        assert (W[mid] ** 2).sum() * 2 * math.sqrt(math.pi) * by_law[mid] == pytest.approx(1, abs=0.013)
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_moment_curve_gives_each_rows_bandwidth(self, n):
         # The width of the window above from one 2-column curve instead of
         # the n-column identity: smoothing (j - c, (j - c)^2) gives each
         # output point's mean input index and second moment about c, so
-        # its variance sigma_k^2 = E_k[(j - c)^2] - (mu_k - c)^2.
+        # its variance sigma_k^2 = E_k[(j - c)^2] - (mu_k - c)^2.  With
+        # M = N - s segments left, that is the bandwidth law.
         c = n / 2
         offsets = [Fraction(j) - Fraction(c) for j in range(n)]
         moments = np.array([[float(d), float(d * d)] for d in offsets])
@@ -576,6 +591,8 @@ class TestExactReferenceAndInvariants:
                 by_weights.append(sum(w * d * d for w, d in zip(row, offsets)) - mean * mean)
             by_moments = [m2 - m1 * m1 for m1, m2 in exact_smooth(moments, s)]
             assert by_moments == by_weights
+            N, M = n - 1, n - 1 - s
+            assert by_moments == [Fraction(N * s * k * (M - k), M * M * (M + 1)) for k in range(M + 1)]
             # The fixed endpoints are not smoothed at all.
             assert by_moments[0] == by_moments[-1] == 0
             assert all(v > 0 for v in by_moments[1:-1])
