@@ -28,12 +28,12 @@ def _as_point_array(values, min_rows: int, what: str) -> NDArray[np.float64]:
     """Coerce to an owned, read-only (n, d) float64 array."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind != "c":
+        if arr.dtype.kind in "biufO":
             arr = np.array(arr, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{what} must form a rectangular numeric array: {exc}") from None
     if arr.dtype != np.float64:
-        # Casting complex values to float64 would drop their imaginary parts.
+        # Only numbers are cast: a cast drops complex parts and reads text or dates as numbers.
         raise InvalidInputError(f"{what} must be real, got {arr.dtype} values")
     if arr.ndim == 1:
         # 1-D input is a scalar signal: one coordinate per point.

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .chain import Polyline
+from .chain import Polyline, _as_int
 from .errors import InvalidInputError, TooManyStepsError
 from .io import CsvSchema, emit_svg, read_points, write_points
 from .smoothing import smooth, smooth_to_ratio
@@ -33,6 +33,7 @@ def generate_points(kind: str, n_points: int, x_max: float, sigma: float, seed: 
     """
     if kind != "sine-noise":
         raise InvalidInputError(f"unknown generator kind {kind!r}")
+    n_points, seed = _as_int(n_points, "n_points"), _as_int(seed, "seed")
     if n_points < 2:
         raise InvalidInputError(f"need at least 2 points, got {n_points}")
     if not 0 < x_max < math.inf:
@@ -64,6 +65,12 @@ def _steps_arg(value: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'max', got {value!r}") from None
 
 
+def _path_arg(value: str) -> str:
+    if not value:
+        raise argparse.ArgumentTypeError("expected a file name, got ''")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose usage errors exit 2 through main's one error line."""
 
@@ -79,13 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sm = sub.add_parser("smooth", help="smooth a CSV curve")
-    sm.add_argument("--input", required=True, help="input CSV path")
-    sm.add_argument("--output", required=True, help="output CSV path")
+    sm.add_argument("--input", required=True, type=_path_arg, help="input CSV path")
+    sm.add_argument("--output", required=True, type=_path_arg, help="output CSV path")
     amount = sm.add_mutually_exclusive_group(required=True)
     amount.add_argument("--steps", type=_steps_arg, help="number of passes, or 'max'")
     amount.add_argument("--target-cr", type=float, dest="target_cr", metavar="PCT",
                         help="smooth until this compression ratio (percent) is reached")
-    sm.add_argument("--svg", help="also write an overlay plot to this path")
+    sm.add_argument("--svg", type=_path_arg, help="also write an overlay plot to this path")
     sm.add_argument("--delimiter", default=",", help="CSV delimiter (default ',')")
     sm.add_argument("--header", action="store_true", help="input has a header row")
     sm.add_argument("--trace", action="store_true", help="print the per-pass schedule")
@@ -100,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="upper end of the x grid (default 20)")
     gen.add_argument("--sigma", type=float, default=0.3, help="noise level (default 0.3)")
     gen.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    gen.add_argument("--output", help="output CSV path (default: stdout)")
+    gen.add_argument("--output", type=_path_arg, help="output CSV path (default: stdout)")
     gen.set_defaults(func=run_generate)
     return parser
 

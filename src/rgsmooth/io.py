@@ -22,6 +22,7 @@ import numpy as np
 
 from .chain import Polyline
 from .errors import InvalidInputError, ParseError
+from .smoothing import compression_ratio
 
 # Rows per formatting block in write_points and emit_svg.
 _BLOCK_ROWS = 4096
@@ -43,9 +44,9 @@ class CsvSchema:
     """How to interpret a CSV point file.
 
     Every column of every data row is a coordinate.  ``has_header`` (a
-    bool) skips the first row.  The delimiter is one character that cannot
-    occur in a written float or end a row, so that writing and reading
-    back is lossless.
+    bool, or an integer 0 or 1) skips the first row.  The delimiter is one
+    character that cannot occur in a written float or end a row, so that
+    writing and reading back is lossless.
     """
 
     delimiter: str = ","
@@ -59,7 +60,7 @@ class CsvSchema:
                 f"delimiter {self.delimiter!r} can occur in a number or end a row; "
                 f"it may not be any of {_NOT_DELIMITERS!r}"
             )
-        if not isinstance(self.has_header, int) or self.has_header not in (0, 1):
+        if not isinstance(self.has_header, (int, np.bool_, np.integer)) or self.has_header not in (0, 1):
             raise InvalidInputError(f"has_header must be True or False, got {self.has_header!r}")
         object.__setattr__(self, "has_header", bool(self.has_header))
 
@@ -105,27 +106,26 @@ def _decode(source) -> str:
 def _parse_fast(text: str, schema: CsvSchema) -> np.ndarray | None:
     """One ``np.loadtxt`` parse, or None where the row parser must decide.
 
-    It declines text holding a character of _ROW_PARSER_ONLY or a bare CR
-    (``csv.reader`` rejects a bare CR inside a row, loadtxt ends the row
-    there), text with nothing but whitespace after the header line (the
-    one input loadtxt warns about), and any input that loadtxt rejects,
-    that has fewer than 2 rows, or that holds a non-finite value.
+    It parses the text after the header line (a header with no line ending
+    is parsed as data: at most one row).  It declines text holding a
+    character of _ROW_PARSER_ONLY or a bare CR (``csv.reader`` rejects a
+    bare CR inside a row, loadtxt ends the row there), text with nothing
+    but whitespace after the header line (the one input loadtxt warns
+    about), and any input that loadtxt rejects, that has fewer than 2 rows,
+    or that holds a non-finite value.
     """
-    if any(c in text for c in _ROW_PARSER_ONLY) or (
+    start = text.find("\n") + 1 if schema.has_header else 0
+    if any(c in text for c in _ROW_PARSER_ONLY) or not _NON_SPACE.search(text, start) or (
         "\r" in text and text.count("\r") != text.count("\r\n")
     ):
         return None
-    start = text.find("\n") + 1 if schema.has_header else 0
-    if (schema.has_header and not start) or not _NON_SPACE.search(text, start):
-        return None
     try:
         points = np.loadtxt(
-            _stdio.StringIO(text),
+            _stdio.StringIO(text[start:]),
             dtype=np.float64,
             delimiter=schema.delimiter,
             comments=None,
             quotechar=None,
-            skiprows=int(schema.has_header),
             ndmin=2,
         )
     except (ValueError, TypeError, OverflowError):
@@ -190,8 +190,9 @@ def emit_svg(original: Polyline, smoothed: Polyline) -> bytes:
     Plots coordinates 0 and 1 (pass projected curves for another pair):
     the original with a light stroke under the smoothed one, and a text
     annotation of the point-count reduction.  Raises InvalidInputError for
-    a curve of under 2 coordinates, or when the padded plot bounds or the
-    flipped y coordinates overflow float64.
+    a curve of under 2 coordinates, a second curve with more points than
+    the first, or when the padded plot bounds or the flipped y coordinates
+    overflow float64.
     """
     if min(original.dimension, smoothed.dimension) < 2:
         raise InvalidInputError("SVG overlay requires at least 2 coordinate columns")
@@ -220,9 +221,8 @@ def emit_svg(original: Polyline, smoothed: Polyline) -> bytes:
         for colour, curve in zip(["#b0c4de", "#1a1a2e"], np.split(xy, [original.n_points]))
     ]
 
-    removed = original.n_points - smoothed.n_points
-    ratio = 100 * removed / original.n_points
-    label = f"steps={removed} c.r.={ratio:.2f}%"
+    ratio = compression_ratio(original.n_segments, smoothed.n_segments)
+    label = f"steps={original.n_points - smoothed.n_points} c.r.={ratio:.2f}%"
     font = 0.045 * max(width, height)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -1,5 +1,6 @@
 """Tests for the polyline / tangent-chain representations."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,29 @@ class TestPolyline:
         message = r"^[a-z ]+ must be real, got complex(64|128) values$"
         with pytest.raises(InvalidInputError, match=message):
             make()
+
+    @pytest.mark.parametrize(
+        "values",
+        [["1", "2"], [b"1", b"2"], np.array(["2020-01-01", "2020-01-02"], dtype="M8[D]"),
+         np.array([1, 2], dtype="m8[s]")],
+        ids=["text", "bytes", "datetime64", "timedelta64"],
+    )
+    @pytest.mark.parametrize(
+        "make, what",
+        [
+            (lambda v: Polyline(v), "polyline points"),
+            (lambda v: TangentChain(base=v[:1], tangents=[0]), "chain base"),
+            (lambda v: TangentChain(base=[0], tangents=v), "chain tangents"),
+        ],
+        ids=["polyline", "chain-base", "chain-tangents"],
+    )
+    def test_non_numbers_rejected(self, make, what, values):
+        # Only numbers are coordinates: a float64 cast would read "1" as 1.0
+        # and the date 2020-01-01 as 18262.0.
+        dtype = np.asarray(values).dtype
+        message = f"^{what} must be real, got {re.escape(str(dtype))} values$"
+        with pytest.raises(InvalidInputError, match=message):
+            make(values)
 
     @pytest.mark.parametrize(
         "values", [[10**400, 1], [Fraction(10**400), 1]], ids=["int", "fraction"]

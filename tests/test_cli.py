@@ -112,6 +112,11 @@ class TestGeneratePoints:
             generate_points("square-noise", 10, 20.0, 0.1, seed=1)
         with pytest.raises(InvalidInputError):
             generate_points("sine-noise", 10, 20.0, 0.1, seed=-1)
+        # Counts that are not integers, each named, not a bare numpy TypeError.
+        for n_points, seed, name in [(10.0, 1, "n_points"), ("10", 1, "n_points"),
+                                     (10, 1.5, "seed"), (10, "1", "seed")]:
+            with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got "):
+                generate_points("sine-noise", n_points, 20.0, 0.3, seed)
 
 
 class TestSmoothCommand:
@@ -467,6 +472,24 @@ class TestSmoothCommand:
 def test_usage_error_exit_2_one_line(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("smooth", "--input"), ("smooth", "--output"), ("smooth", "--svg"), ("generate", "--output")],
+    ids=["smooth-input", "smooth-output", "smooth-svg", "generate-output"],
+)
+def test_empty_file_name_exit_2_one_line(command, option, tmp_path, capsys):
+    # An unset shell variable gives '': refused before any file is read or written.
+    src = noisy_input(tmp_path)
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"0,0\n1,1\n")
+    args = {"--input": str(src), "--output": str(out), "--steps": "2"} if command == "smooth" else {}
+    args[option] = ""
+    assert main([command, *(word for pair in args.items() for word in pair)]) == 2
+    assert capsys.readouterr() == ("", f"error: argument {option}: expected a file name, got ''\n")
+    assert out.read_bytes() == b"0,0\n1,1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.csv"]
 
 
 def test_cli_imports_nothing_beyond_numpy_and_stdlib():

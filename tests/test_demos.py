@@ -1,12 +1,13 @@
 """Each demo script, and README's library quickstart, runs cleanly against
 the package in ``src``, which ``conftest.py`` puts first on the
 subprocess's ``PYTHONPATH``; README's table of the s-pass window follows
-its law.
+its law, and every test README cites exists.
 
 A demo is copied into a temporary directory first, so that the plots it
 writes beside itself land there and not in the repository.
 """
 
+import ast
 import math
 import re
 import shutil
@@ -66,3 +67,18 @@ def test_readme_pass_count_table_follows_the_law():
         values = [mid, mid / math.sqrt(s), first, fifth]
         for printed, value in zip(cells, values):
             assert printed == f"{value:.{len(printed.partition('.')[2])}f}", (s, printed, value)
+
+
+def test_readme_test_references_resolve():
+    # Every `test_<module>.py::<name>` that README cites names a test
+    # function or method of that module; a trailing * matches as a prefix.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    cited = re.findall(r"`([^`]*::[^`]*)`", readme)
+    assert cited
+    for ref in cited:
+        assert re.fullmatch(r"test_\w+\.py::test_\w+\*?", ref), ref
+        module, name = ref.split("::")
+        tree = ast.parse((ROOT / "tests" / module).read_text(encoding="utf-8"))
+        tests = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        prefix = name.removesuffix("*")
+        assert any(t == name or (name != prefix and t.startswith(prefix)) for t in tests), ref

@@ -140,7 +140,7 @@ class TestReadPoints:
         "kwargs",
         [{"delimiter": c} for c in "0123456789.+-e\r\n"]
         + [{"delimiter": None}, {"delimiter": b","}]
-        + [{"has_header": 2}, {"has_header": "no"}],
+        + [{"has_header": 2}, {"has_header": "no"}, {"has_header": 1.0}, {"has_header": "1"}],
         ids=repr,
     )
     def test_schema_rejects_unusable_delimiter_or_column(self, kwargs):
@@ -148,6 +148,17 @@ class TestReadPoints:
         # CR and LF end a row.
         with pytest.raises(InvalidInputError):
             CsvSchema(**kwargs)
+
+    @pytest.mark.parametrize(
+        "flag, has_header",
+        [(True, True), (1, True), (np.True_, True), (np.int64(1), True), (np.uint8(0), False)],
+        ids=repr,
+    )
+    def test_schema_accepts_integer_header_flags(self, flag, has_header):
+        # numpy's bools and integers pass by the rule of Python's: 0 or 1.
+        schema = CsvSchema(has_header=flag)
+        assert schema.has_header is has_header
+        assert read_points("x,y\n0,1\n1,2\n" if has_header else "0,1\n1,2\n", schema).n_points == 2
 
     @pytest.mark.parametrize(
         "data, row, message",
@@ -226,6 +237,9 @@ def _outcome(parse):
 @example(("x\n", CsvSchema(has_header=True)))
 @example(("x\n\n\n", CsvSchema(has_header=True)))
 @example(("x", CsvSchema(has_header=True)))
+@example(("1,2", CsvSchema(has_header=True)))  # a numeric header with no line ending
+@example(("0,1\n2,3", CsvSchema(has_header=True)))
+@example(("0,1\n2,3\n4,5", CsvSchema(has_header=True)))
 def test_fast_read_matches_row_parser(case):
     text, schema = case
     data = text.encode("utf-8")
@@ -410,6 +424,12 @@ class TestEmitSvg:
         svg = emit_svg(xz, xz).decode()
         assert 'viewBox="-0.2 -0.8 4.4 17.6"' in svg
         assert svg.count('points="0,16 1,15 2,12 3,7 4,0"') == 2
+
+    def test_longer_second_curve_rejected(self):
+        # A label of removed points and compression below zero means nothing.
+        short, long = Polyline(np.zeros((2, 2))), Polyline(np.zeros((6, 2)))
+        with pytest.raises(InvalidInputError, match="^current segment count must lie in"):
+            emit_svg(short, long)
 
     @pytest.mark.parametrize("one_d", ["original", "smoothed"])
     def test_one_coordinate_rejected(self, one_d):
