@@ -24,6 +24,14 @@ def _as_int(value, what: str) -> int:
         raise InvalidInputError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _as_real(value, what: str) -> float:
+    try:
+        # Text and bytes go in as None: float() would read them as numbers.
+        return float(None if isinstance(value, (str, bytes, bytearray)) else value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"{what} must be a real float64 number, got {value!r}") from None
+
+
 def _as_point_array(values, min_rows: int, what: str) -> NDArray[np.float64]:
     """Coerce to an owned, read-only (n, d) float64 array."""
     try:

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .chain import Polyline, _as_int
+from .chain import Polyline, _as_int, _as_real
 from .errors import InvalidInputError, TooManyStepsError
 from .io import CsvSchema, emit_svg, read_points, write_points
 from .smoothing import smooth, smooth_to_ratio
@@ -34,6 +34,7 @@ def generate_points(kind: str, n_points: int, x_max: float, sigma: float, seed: 
     if kind != "sine-noise":
         raise InvalidInputError(f"unknown generator kind {kind!r}")
     n_points, seed = _as_int(n_points, "n_points"), _as_int(seed, "seed")
+    x_max, sigma = _as_real(x_max, "x-max"), _as_real(sigma, "sigma")
     if n_points < 2:
         raise InvalidInputError(f"need at least 2 points, got {n_points}")
     if not 0 < x_max < math.inf:

@@ -196,6 +196,10 @@ def emit_svg(original: Polyline, smoothed: Polyline) -> bytes:
     """
     if min(original.dimension, smoothed.dimension) < 2:
         raise InvalidInputError("SVG overlay requires at least 2 coordinate columns")
+    if smoothed.n_points > original.n_points:
+        raise InvalidInputError(
+            f"second curve has {smoothed.n_points} points, more than the first's {original.n_points}"
+        )
 
     # Rows (x, y) of both curves.  Min and max go per column: along axis 0
     # of the (N, 2) array they take over ten times as long.

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import Polyline, _as_int, _rebuild
+from .chain import Polyline, _as_int, _as_real, _rebuild
 from .errors import ChainTooShortError, InvalidInputError, TooManyStepsError
 
 
@@ -125,18 +125,6 @@ def compression_ratio(n_original_segments: int, n_current_segments: int) -> floa
     return 100 * (n_orig - n_cur) / (n_orig + 1)
 
 
-def _pass(t: np.ndarray, pairs: np.ndarray, ramp: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One pass over m tangents ``t``: m - 1 tangents, bit for bit rescale_fractional's."""
-    m1, c = t.shape[0] - 1, pairs.shape[1]
-    # ramp is (n-1, ..., 1, 1, ..., n-1): its middle 2(m-1) values over m - 1 weigh t[k], t[k+1].
-    weights = np.divide(ramp[c - m1 : c + m1], m1, out=w[: 2 * m1]).reshape(2, m1, 1)
-    # One gather, not slices or take: until ROADMAP item 1 the benchmark reads their speed as RSS.
-    g = t[pairs[:, :m1]]
-    g *= weights
-    g[0] += g[1]
-    return g[0]
-
-
 def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
     """Smooth a polyline by ``steps`` one-point-removal passes.
 
@@ -160,17 +148,23 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
     trace = SmoothingTrace(n_points=polyline.n_points, n_steps=steps)
     if trace.n_steps == 0:
         return SmoothingResult(output=polyline, trace=trace)
-    n_original = polyline.n_segments
+    n = polyline.n_segments
+    # A pass over m1 + 1 tangents weighs t[k] and t[k+1] by (m1-k)/m1 and (k+1)/m1: the middle
+    # 2*m1 values of the ramp (n-1, ..., 1, 1, ..., n-1), over m1, bit for bit rescale_fractional's.
+    ks = np.arange(1.0, n)
+    pairs, ramp = np.arange(2)[:, None] + np.arange(n - 1), np.concatenate([ks[::-1], ks])
     # The input is finite and every weight lies in (0, 1], so a non-finite tangent can only
     # come from an overflow, and no later pass or sum makes it finite again.
-    ks, w = np.arange(1.0, n_original), np.empty(2 * n_original - 2)
-    pairs, ramp = np.arange(2)[:, None] + np.arange(n_original - 1), np.concatenate([ks[::-1], ks])
     with np.errstate(over="ignore", invalid="ignore"):
-        tangents = np.diff(polyline.points, axis=0)
-        for _ in range(trace.n_steps):
-            tangents = _pass(tangents, pairs, ramp, w)
+        t = np.diff(polyline.points, axis=0)
+        for m1 in range(n - 1, n - 1 - trace.n_steps, -1):
+            # One gather, not slices or take: until ROADMAP item 1 the benchmark reads their speed as RSS.
+            g = t[pairs[:, :m1]]
+            g *= (ramp[n - 1 - m1 : n - 1 + m1] / m1).reshape(2, m1, 1)
+            g[0] += g[1]
+            t = g[0]
     try:
-        output = Polyline(_rebuild(polyline.points[0], tangents))
+        output = Polyline(_rebuild(polyline.points[0], t))
     except InvalidInputError:
         raise InvalidInputError("coordinates overflowed float64 while smoothing") from None
     return SmoothingResult(output=output, trace=trace)
@@ -184,10 +178,7 @@ def smooth_to_ratio(polyline: Polyline, target_cr_pct: float) -> SmoothingResult
     The step count is derived exactly, so a representable target is never
     missed by float noise: k = ceil((n_points) * target / 100).
     """
-    try:
-        target = math.nan if isinstance(target_cr_pct, (str, bytes, bytearray)) else float(target_cr_pct)
-    except (TypeError, ValueError, OverflowError):
-        target = math.nan
+    target = _as_real(target_cr_pct, "target compression ratio")
     if not 0.0 <= target < 100.0:
         raise InvalidInputError(f"target compression ratio must lie in [0, 100), got {target_cr_pct!r}")
     n = polyline.n_segments

@@ -117,6 +117,12 @@ class TestGeneratePoints:
                                      (10, 1.5, "seed"), (10, "1", "seed")]:
             with pytest.raises(InvalidInputError, match=f"^{name} must be an integer, got "):
                 generate_points("sine-noise", n_points, 20.0, 0.3, seed)
+        # Real parameters that are not float64 numbers, each named, not a bare exception.
+        for x_max, sigma, name in [("5", 0.3, "x-max"), (20.0, "0.3", "sigma"), (None, 0.3, "x-max"),
+                                   (20.0, 1j, "sigma"), (10**400, 0.3, "x-max"), (20.0, 10**400, "sigma"),
+                                   (np.array([1.0, 2.0]), 0.3, "x-max")]:
+            with pytest.raises(InvalidInputError, match=f"^{name} must be a real float64 number, got "):
+                generate_points("sine-noise", 10, x_max, sigma, seed=1)
 
 
 class TestSmoothCommand:

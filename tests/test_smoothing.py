@@ -308,6 +308,15 @@ class TestArrayLoopAndLazyTrace:
         curves, _ = chain_passes(p, 3)
         assert smooth(p, 3).output.points.tobytes() == curves[3].tobytes()
 
+    def test_matches_chain_passes_bitwise_over_1000_passes(self):
+        # Window offsets n - 1 - m1 up to 1000, at long_track's shape.  Only the
+        # last curve is kept: chain_passes would hold about 150 MB here.
+        p = noisy_curve(n_points=10001, seed=10001)
+        chain = build_chain(p)
+        for _ in range(1000):
+            chain = rescale_fractional(chain, optimal_scaling(chain.n_segments))
+        assert smooth(p, 1000).output.points.tobytes() == reconstruct(chain).points.tobytes()
+
     def test_indexing_builds_chain_passes_records(self):
         _, records = chain_passes(noisy_curve(n_points=21), 19)
         trace = SmoothingTrace(21, 19)
