@@ -32,8 +32,8 @@ def _as_real(value, what: str) -> float:
         raise InvalidInputError(f"{what} must be a real float64 number, got {value!r}") from None
 
 
-def _as_point_array(values, min_rows: int, what: str) -> NDArray[np.float64]:
-    """Coerce to an owned, read-only (n, d) float64 array."""
+def _as_point_array(values, min_rows: int, what: str, point: bool = False) -> NDArray[np.float64]:
+    """Coerce to an owned, read-only (n, d) float64 array; a ``point`` is one (1, d) row."""
     try:
         arr = np.asarray(values)
         if arr.dtype.kind in "biufO":
@@ -43,9 +43,11 @@ def _as_point_array(values, min_rows: int, what: str) -> NDArray[np.float64]:
     if arr.dtype != np.float64:
         # Only numbers are cast: a cast drops complex parts and reads text or dates as numbers.
         raise InvalidInputError(f"{what} must be real, got {arr.dtype} values")
-    if arr.ndim == 1:
-        # 1-D input is a scalar signal: one coordinate per point.
-        arr = arr.reshape(-1, 1)
+    if point and arr.ndim > 1:
+        raise InvalidInputError(f"{what} must be one point, got an array of shape {arr.shape}")
+    if arr.ndim == 1 or point:
+        # A 1-D point is its coordinates; other 1-D input is a scalar signal, one coordinate per point.
+        arr = arr.reshape((1, -1) if point else (-1, 1))
     if arr.ndim != 2:
         raise InvalidInputError(f"{what} must be a sequence of points, got a {arr.ndim}-D array")
     if arr.shape[0] < min_rows:
@@ -98,7 +100,7 @@ class TangentChain:
     tangents: NDArray[np.float64]
 
     def __post_init__(self):
-        base = _as_point_array([self.base], 1, "chain base")[0]
+        base = _as_point_array(self.base, 1, "chain base", point=True)[0]
         tangents = _as_point_array(self.tangents, 1, "chain tangents")
         if tangents.shape[1] != base.shape[0]:
             raise InvalidInputError(

@@ -29,6 +29,7 @@ is dropped entirely.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import operator
 from fractions import Fraction
 
@@ -84,12 +85,11 @@ class CoefficientMatrix:
 
 
 def _check_fractional(factor) -> Fraction:
-    if isinstance(factor, int):
-        factor = Fraction(factor)
-    if not isinstance(factor, Fraction):
+    if not isinstance(factor, numbers.Rational):
         raise InvalidScalingError(
             f"merge factor must be an exact Fraction or int, got {type(factor).__name__}"
         )
+    factor = Fraction(int(factor.numerator), int(factor.denominator))  # as Python ints, not np.int64
     if not Fraction(1) < factor <= Fraction(2):
         raise InvalidScalingError(f"merge factor must lie in (1, 2], got {factor}")
     return factor
@@ -115,11 +115,11 @@ def overlap_coefficients(n_old: int, factor) -> CoefficientMatrix:
     Parameters
     ----------
     n_old : number of segments before the pass, at least 1.
-    factor : exact rational merge factor in (1, 2].
+    factor : merge factor in (1, 2], a ``Fraction`` or any integer, numpy's included.
 
     Raises
     ------
-    InvalidScalingError : factor outside (1, 2] or not exact.
+    InvalidScalingError : factor outside (1, 2] or not exact: floats are refused.
     ChainTooShortError : ``floor(n_old / factor)`` is zero.
     """
     f = _check_fractional(factor)
@@ -140,7 +140,8 @@ def rescale_fractional(chain: TangentChain, factor) -> TangentChain:
     The base point is unchanged; the new chain has ``floor(n / factor)``
     tangents, each the overlap-weighted sum of consecutive old tangents,
     with weights rounded once and added in index order.  Acts on every
-    coordinate axis independently.
+    coordinate axis independently.  The factor lies in (1, 2] and is a
+    ``Fraction`` or any integer, numpy's included; floats are refused.
     """
     f = _check_fractional(factor)
     t, num, den = chain.tangents, f.numerator, f.denominator

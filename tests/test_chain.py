@@ -133,9 +133,14 @@ class TestTangentChain:
         with pytest.raises(InvalidInputError):
             TangentChain(base=(0.0,), tangents=np.empty((0, 1)))
 
-    @pytest.mark.parametrize("base", ["abc", [[1], [2, 3]]], ids=["non-numeric", "ragged"])
-    def test_malformed_base_rejected(self, base):
-        with pytest.raises(InvalidInputError):
+    @pytest.mark.parametrize(
+        "base, message",
+        [("abc", "must be real"), ([[1], [2, 3]], "must form a rectangular"),
+         ([[0.0, 0.0]], r"must be one point, got an array of shape \(1, 2\)$")],
+        ids=["non-numeric", "ragged", "two-dimensional"],
+    )
+    def test_malformed_base_rejected(self, base, message):
+        with pytest.raises(InvalidInputError, match=f"^chain base {message}"):
             TangentChain(base=base, tangents=[(1.0, 0.0)])
 
     def test_zero_tangents_allowed(self):

@@ -1,7 +1,7 @@
 """Each demo script, and README's library quickstart, runs cleanly against
 the package in ``src``, which ``conftest.py`` puts first on the
 subprocess's ``PYTHONPATH``; README's table of the s-pass window follows
-its law, and every test README cites exists.
+its law, every test README cites exists, and README names every export.
 
 A demo is copied into a temporary directory first, so that the plots it
 writes beside itself land there and not in the repository.
@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import rgsmooth
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -82,3 +84,8 @@ def test_readme_test_references_resolve():
         tests = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
         prefix = name.removesuffix("*")
         assert any(t == name or (name != prefix and t.startswith(prefix)) for t in tests), ref
+
+
+def test_readme_names_every_export():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert [name for name in rgsmooth.__all__ if not re.search(rf"`{name}\b", readme)] == []

@@ -2,6 +2,7 @@
 
 import functools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -63,17 +64,25 @@ class TestOverlapCoefficients:
         m = overlap_coefficients(2, Fraction(2))
         assert entries(m) == [((0, Fraction(1)), (1, Fraction(1)))]
 
-    def test_integer_factor_argument_accepted(self):
-        assert overlap_coefficients(2, 2) == overlap_coefficients(2, Fraction(2))
+    @pytest.mark.parametrize("factor", [2, np.int64(2)], ids=["int", "int64"])
+    def test_integer_factor_argument_accepted(self, factor):
+        m = overlap_coefficients(7, factor)
+        assert m == overlap_coefficients(7, Fraction(2))
+        assert type(m.factor.numerator) is int
 
-    @pytest.mark.parametrize("bad", [Fraction(1), Fraction(5, 2), Fraction(99, 100), 3])
+    @pytest.mark.parametrize("bad", [Fraction(1), Fraction(5, 2), Fraction(99, 100), 3, np.int64(3), True])
     def test_factor_outside_interval_rejected(self, bad):
         with pytest.raises(InvalidScalingError):
             overlap_coefficients(10, bad)
 
-    def test_float_factor_rejected(self):
-        with pytest.raises(InvalidScalingError):
-            overlap_coefficients(10, 1.5)
+    @pytest.mark.parametrize(
+        "bad", [1.5, np.float64(1.5), Decimal("1.5"), "3/2", np.array(2)],
+        ids=["float", "float64", "decimal", "text", "0-d-array"],
+    )
+    def test_float_factor_rejected(self, bad):
+        message = f"^merge factor must be an exact Fraction or int, got {type(bad).__name__}$"
+        with pytest.raises(InvalidScalingError, match=message):
+            overlap_coefficients(10, bad)
 
     def test_chain_too_short(self):
         with pytest.raises(ChainTooShortError):
@@ -295,7 +304,8 @@ class TestRescaleInteger:
         chain = TangentChain(np.zeros(3), t)
         a = rescale_integer(chain, 2).tangents
         b = rescale_fractional(chain, Fraction(2)).tangents
-        assert a.tobytes() == b.tobytes()
+        c = rescale_fractional(chain, np.int64(2)).tangents
+        assert a.tobytes() == b.tobytes() == c.tobytes()
 
 
 class TestInt64Ticks:
