@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import io as _stdio
 import math
-import re
 
 import numpy as np
 
@@ -31,8 +30,6 @@ _BLOCK_ROWS = 4096
 # quoted field for csv.reader, and np.loadtxt strips the separators
 # \x1c-\x1f from numbers as whitespace where float() rejects them.
 _ROW_PARSER_ONLY = '"\x1c\x1d\x1e\x1f'
-
-_NON_SPACE = re.compile(r"\S")
 
 # Characters a delimiter may not be: those of a written float (repr gives
 # forms such as 1e+16 and -1e-05) and the line ending characters.
@@ -114,14 +111,14 @@ def _parse_fast(text: str, schema: CsvSchema) -> np.ndarray | None:
     about), and any input that loadtxt rejects, that has fewer than 2 rows,
     or that holds a non-finite value.
     """
-    start = text.find("\n") + 1 if schema.has_header else 0
-    if any(c in text for c in _ROW_PARSER_ONLY) or not _NON_SPACE.search(text, start) or (
+    body = text[text.find("\n") + 1:] if schema.has_header else text
+    if any(c in text for c in _ROW_PARSER_ONLY) or not body or body.isspace() or (
         "\r" in text and text.count("\r") != text.count("\r\n")
     ):
         return None
     try:
         points = np.loadtxt(
-            _stdio.StringIO(text[start:]),
+            _stdio.StringIO(body),
             dtype=np.float64,
             delimiter=schema.delimiter,
             comments=None,

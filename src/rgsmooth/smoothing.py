@@ -158,7 +158,8 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.diff(polyline.points, axis=0)
         for m1 in range(n - 1, n - 1 - trace.n_steps, -1):
-            # One gather, not slices or take: until ROADMAP item 1 the benchmark reads their speed as RSS.
+            # One gather, not slices or take: the benchmark keeps every job's output, so their 3x
+            # speed would show as 15-20 % more long_track peak RSS, beyond its 10 % bound.
             g = t[pairs[:, :m1]]
             g *= (ramp[n - 1 - m1 : n - 1 + m1] / m1).reshape(2, m1, 1)
             g[0] += g[1]

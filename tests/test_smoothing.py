@@ -452,9 +452,15 @@ def polyline_length(points):
 _TANGENT = st.just(0.0) | st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300)
 
 
-def sign_changes(column):
-    signs = np.sign(column[column != 0])
-    return np.count_nonzero(signs[1:] != signs[:-1])
+def sign_changes(values):
+    """How often the signs of ``values`` alternate, zeros dropped."""
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def level(points, c, d):
+    """c . p - d for every point p, in exact rational arithmetic."""
+    return [sum(ci * Fraction(float(x)) for ci, x in zip(c, p)) - d for p in points]
 
 
 class TestExactReferenceAndInvariants:
@@ -500,6 +506,38 @@ class TestExactReferenceAndInvariants:
             after = [sign_changes(column) for column in chain.tangents.T]
             assert all(a <= b for a, b in zip(after, before))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_no_hyperplane_gains_a_crossing_exact(self, data):
+        # A pass maps c . P - d by a two-diagonal matrix of positive weights whose rows
+        # sum to 1.  Such a matrix is totally positive, so it never adds a sign change
+        # (Schoenberg's variation diminishing): no line or plane is crossed more often.
+        n, dim = data.draw(st.integers(3, 16)), data.draw(st.integers(1, 3))
+        point = st.lists(st.integers(-20, 20), min_size=dim, max_size=dim)
+        pts = data.draw(st.lists(point, min_size=n, max_size=n))
+        out = exact_smooth(pts, data.draw(st.integers(1, n - 2)))
+        for _ in range(5):
+            c = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+            d = data.draw(st.fractions(-60, 60, max_denominator=8))
+            assert sign_changes(level(out, c, d)) <= sign_changes(level(pts, c, d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(curves(), st.data())
+    def test_no_hyperplane_gains_a_crossing_beyond_rounding(self, case, data):
+        # The float output lies within error_bound of the exact one per coordinate, so
+        # its c . p - d lies within sum |c| * error_bound of the exact value: one beyond
+        # that margin has the exact sign, and exact signs alternate no more than the input's.
+        pts, steps = case
+        out, dim = smooth(Polyline(pts), steps).output.points, pts.shape[1]
+        for _ in range(5):
+            c = data.draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+            # A plane halfway between two input points' levels.
+            i, j = data.draw(st.integers(0, len(pts) - 1)), data.draw(st.integers(0, len(pts) - 1))
+            d = sum(level(pts[[i, j]], c, 0)) / 2
+            margin = sum(map(abs, c)) * error_bound(pts)
+            beyond = [v for v in level(out, c, d) if abs(v) > margin]
+            assert sign_changes(beyond) <= sign_changes(level(pts, c, d))
+
     @settings(max_examples=100, deadline=None)
     @given(curves(), st.lists(st.integers(-30, 30), min_size=3, max_size=3))
     def test_power_of_two_axis_scaling_is_bit_exact(self, case, exponents):
@@ -539,8 +577,14 @@ class TestExactReferenceAndInvariants:
         # smooth is linear and acts on each axis alone, so smoothing the
         # identity gives the exact weight matrix W of s passes: output point
         # k is sum_j W[k][j] * P[j].  smooth's own matrix is W up to rounding.
-        # Row k has mean k*N/M and variance N*s*k*(M - k) / (M^2 * (M + 1)),
-        # README's bandwidth law, where M = N - s segments are left.
+        # With M = N - s segments left, row k is BetaBin(s, k, M - k) on
+        # j = k + i: W[k][k + i] = C(s, i) k^(i) (M - k)^(s - i) / M^(s), where
+        # x^(j) = x (x + 1) ... (x + j - 1), and 0 elsewhere.  Its mean is
+        # k*N/M and its variance N*s*k*(M - k) / (M^2 * (M + 1)), README's
+        # bandwidth law.
+        def rising(x, j):
+            return math.prod(range(x, x + j))
+
         N = n - 1
         for s in range(1, n - 1):
             M = N - s
@@ -548,16 +592,17 @@ class TestExactReferenceAndInvariants:
             out = smooth(Polyline(np.eye(n)), s).output.points
             assert np.abs(out - np.array(W, dtype=np.float64)).max() <= error_bound(np.eye(n))
             for k, row in enumerate(W):
-                assert all(w >= 0 for w in row)
+                assert row == [
+                    Fraction(math.comb(s, i) * rising(k, i) * rising(M - k, s - i), rising(M, s))
+                    if 0 <= i <= s else 0
+                    for i in range(-k, n - k)
+                ]
                 assert sum(row) == 1
                 mean = Fraction(k * N, M)
                 assert sum(j * w for j, w in enumerate(row)) == mean
                 assert sum((j - mean) ** 2 * w for j, w in enumerate(row)) == Fraction(
                     N * s * k * (M - k), M * M * (M + 1)
                 )
-                support = [j for j, w in enumerate(row) if w]
-                assert support == list(range(support[0], support[-1] + 1))
-                assert len(support) <= s + 1
 
     @pytest.mark.parametrize("s", [10, 100, 400])
     def test_moment_curve_bandwidth_matches_weight_matrix_at_1001(self, s):
