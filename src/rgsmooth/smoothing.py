@@ -12,12 +12,17 @@ are wrapped as validated curves.  The per-pass schedule depends on
 nothing but the input's point count and the number of passes, so a
 :class:`SmoothingTrace` stores just those two numbers and keeps no
 records: indexing it builds the one record asked for.
+
+s passes build output tangent k from input tangents k ... k + s alone,
+so long runs smooth blocks of output rows in threads, bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import threading
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -148,27 +153,61 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
     trace = SmoothingTrace(n_points=polyline.n_points, n_steps=steps)
     if trace.n_steps == 0:
         return SmoothingResult(output=polyline, trace=trace)
-    n = polyline.n_segments
-    # A pass over m1 + 1 tangents weighs t[k] and t[k+1] by (m1-k)/m1 and (k+1)/m1: the middle
-    # 2*m1 values of the ramp (n-1, ..., 1, 1, ..., n-1), over m1, bit for bit rescale_fractional's.
-    ks = np.arange(1.0, n)
-    pairs, ramp = np.arange(2)[:, None] + np.arange(n - 1), np.concatenate([ks[::-1], ks])
-    # The input is finite and every weight lies in (0, 1], so a non-finite tangent can only
-    # come from an overflow, and no later pass or sum makes it finite again.
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = np.diff(polyline.points, axis=0)
-        for m1 in range(n - 1, n - 1 - trace.n_steps, -1):
-            # One gather, not slices or take: the benchmark keeps every job's output, so their 3x
-            # speed would show as 15-20 % more long_track peak RSS, beyond its 10 % bound.
-            g = t[pairs[:, :m1]]
-            g *= (ramp[n - 1 - m1 : n - 1 + m1] / m1).reshape(2, m1, 1)
-            g[0] += g[1]
-            t = g[0]
+    n, steps, points = polyline.n_segments, trace.n_steps, polyline.points
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blocks = min(cpus, n - steps, (n - steps) * points.shape[1] // _MIN_BLOCK_VALUES)
+    t = _passes(points, 0, steps, n) if blocks < 2 else _split(points, steps, n, blocks)
     try:
-        output = Polyline(_rebuild(polyline.points[0], t))
+        output = Polyline(_rebuild(points[0], t))
     except InvalidInputError:
         raise InvalidInputError("coordinates overflowed float64 while smoothing") from None
     return SmoothingResult(output=output, trace=trace)
+
+
+_MIN_BLOCK_VALUES = 6000  # fewest output coordinates per block for a thread to pay (BENCH_27.json)
+
+
+def _passes(points, lo, steps, n):
+    """Run ``steps`` passes on tangents lo, lo + 1, ... of n, the differences of ``points``."""
+    h, ks = len(points) - 2, np.arange(1.0, n)
+    # Rows k = lo, ..., lo + r - 1 of a pass over m1 + 1 tangents weigh t[k] and t[k+1] by (m1-k)/m1
+    # and (k+1)/m1: the middle 2*r values of this ramp over m1, bit for bit rescale_fractional's.
+    pairs = np.arange(2)[:, None] + np.arange(h)
+    ramp = np.concatenate([ks[n - 1 - lo - h : n - 1 - lo][::-1], ks[lo : lo + h]])
+    # Only an overflow makes a tangent non-finite (the input is finite, every weight in (0, 1]),
+    # and nothing makes it finite again.  A new thread starts in numpy's default error state.
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.diff(points, axis=0)
+        for r, m1 in zip(range(h, h - steps, -1), range(n - 1, n - 1 - steps, -1)):
+            # One gather, not slices or take: the benchmark keeps every job's output, so their 3x
+            # speed would show as 15-20 % more long_track peak RSS, beyond its 10 % bound.
+            g = t[pairs[:, :r]]
+            g *= (ramp[h - r : h + r] / m1).reshape(2, r, 1)
+            g[0] += g[1]
+            t = g[0]
+    return t
+
+
+def _split(points, steps, n, blocks):
+    """:func:`_passes` on ``points`` in ``blocks`` row blocks, all but the first in threads."""
+    cuts = [(n - steps) * i // blocks for i in range(blocks + 1)]
+    out, errors = np.empty((cuts[-1], points.shape[1])), []
+
+    def run(lo, hi):
+        try:
+            out[lo:hi] = _passes(points[lo : hi + steps + 1], lo, steps, n)
+        except BaseException as exc:  # raised again below, in the calling thread
+            errors.append(exc)
+
+    workers = [threading.Thread(target=run, args=cuts[i : i + 2]) for i in range(1, blocks)]
+    for worker in workers:
+        worker.start()
+    run(0, cuts[1])
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def smooth_to_ratio(polyline: Polyline, target_cr_pct: float) -> SmoothingResult:

@@ -1,7 +1,10 @@
 """Tests for the iterative smoothing driver."""
 
 import math
+import os
 import re
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -403,6 +406,122 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="non-finite coordinates"):
                 call()
+
+
+@pytest.fixture
+def block_starts(monkeypatch):
+    """The first output row of every block that smooth's passes run, in any order."""
+    starts, passes = [], smoothing._passes
+
+    def recording(points, lo, steps, n):
+        starts.append(lo)
+        return passes(points, lo, steps, n)
+
+    monkeypatch.setattr(smoothing, "_passes", recording)
+    return starts
+
+
+def set_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+def split_small_curves(monkeypatch, cores):
+    monkeypatch.setattr(smoothing, "_MIN_BLOCK_VALUES", 1)
+    set_cores(monkeypatch, cores)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_points", [3, 4, 5, 37, 401])
+    def test_block_edges_bit_exact_for_every_step_count(self, monkeypatch, block_starts, n_points, dim):
+        p = noisy_curve(n_points=n_points, seed=n_points, dim=dim)
+        curves, _ = chain_passes(p, n_points - 2)
+        for cores in (2, 3):
+            split_small_curves(monkeypatch, cores)
+            for steps in range(1, n_points - 1):
+                block_starts.clear()
+                assert smooth(p, steps).output.points.tobytes() == curves[steps].tobytes()
+                # One block per core, never more blocks than output rows, none empty.
+                m = n_points - 1 - steps
+                blocks = min(cores, m)
+                assert sorted(block_starts) == [m * i // blocks for i in range(blocks)]
+
+    @pytest.mark.parametrize("n_points, steps", [(10001, 1000), (100001, 3)])
+    def test_long_bitwise_tests_run_two_blocks_on_two_cores(self, monkeypatch, block_starts, n_points, steps):
+        # The shapes of test_matches_chain_passes_bitwise_over_1000_passes and of the 100001-point
+        # case of test_matches_chain_passes_bitwise_at_large_n, so those hold the split to the bits
+        # of the chain API on any host with two or more cores.
+        set_cores(monkeypatch, 2)
+        smooth(noisy_curve(n_points=n_points, seed=n_points), steps)
+        assert sorted(block_starts) == [0, (n_points - 1 - steps) // 2]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n_points", [51, 401])
+    def test_short_curves_start_no_thread(self, monkeypatch, block_starts, n_points, dim):
+        # many_short's curves, on any number of cores.
+        set_cores(monkeypatch, 64)
+        monkeypatch.setattr(smoothing, "_split", None)
+        smooth_to_ratio(noisy_curve(n_points=n_points, dim=dim), 90)
+        assert block_starts == [0]
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_overflow_in_the_last_block_one_error_and_no_warning(self, monkeypatch, block_starts):
+        # The last two tangents are DBL_MAX / 2 and DBL_MAX, and the last row of every pass
+        # weighs its right tangent by 1, so the first pass overflows there and nowhere else.
+        set_cores(monkeypatch, 2)
+        steps, big = 10, np.finfo(np.float64).max
+        x = np.linspace(0.0, 1.0, 2 * smoothing._MIN_BLOCK_VALUES + steps + 1)
+        x[-3:] = -big, -big / 2, big / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="overflowed float64 while smoothing"):
+                smooth(Polyline(x), steps)
+        assert sorted(block_starts) == [0, smoothing._MIN_BLOCK_VALUES]
+
+    @pytest.mark.parametrize("failing", [0, 9, 18])  # the first row of each of 3 blocks of 9
+    def test_block_exception_propagates(self, monkeypatch, failing):
+        split_small_curves(monkeypatch, 3)
+        passes, threads = smoothing._passes, threading.active_count()
+
+        def fail_one(points, lo, steps, n):
+            if lo == failing:
+                raise RuntimeError(f"block at row {lo} failed")
+            return passes(points, lo, steps, n)
+
+        monkeypatch.setattr(smoothing, "_passes", fail_one)
+        with pytest.raises(RuntimeError, match=f"block at row {failing} failed"):
+            smooth(noisy_curve(n_points=38), 10)
+        assert threading.active_count() == threads
+
+    def test_concurrent_calls_get_the_serial_bytes(self, monkeypatch, block_starts):
+        steps = 50
+        curves = [
+            noisy_curve(n_points=2 * smoothing._MIN_BLOCK_VALUES // dim + steps + 1, seed=i, dim=dim)
+            for i, dim in enumerate([1, 2, 3, 2])
+        ]
+        set_cores(monkeypatch, 1)
+        serial = [smooth(c, steps).output.points.tobytes() for c in curves]
+        set_cores(monkeypatch, 2)
+        block_starts.clear()
+        start, results = threading.Barrier(len(curves)), [None] * len(curves)
+
+        def call(i):
+            start.wait(timeout=10)
+            results[i] = smooth(curves[i], steps).output.points.tobytes()
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(curves))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == serial
+        assert len(block_starts) == 2 * len(curves)
 
 
 # Unit coordinates: 0 or of magnitude 2**-20 to 1, so that no run comes
