@@ -31,6 +31,8 @@ import numpy as np
 from .chain import Polyline, _as_int, _as_real, _rebuild
 from .errors import ChainTooShortError, InvalidInputError, TooManyStepsError
 
+_MIN_BLOCK_VALUES = 6000  # fewest output coordinates per block for a thread to pay (BENCH_27.json)
+
 
 @dataclasses.dataclass(frozen=True)
 class StepRecord:
@@ -154,17 +156,16 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
     if trace.n_steps == 0:
         return SmoothingResult(output=polyline, trace=trace)
     n, steps, points = polyline.n_segments, trace.n_steps, polyline.points
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    blocks = min(cpus, n - steps, (n - steps) * points.shape[1] // _MIN_BLOCK_VALUES)
+    blocks = min(n - steps, (n - steps) * points.shape[1] // _MIN_BLOCK_VALUES)
+    if blocks > 1:  # only a run long enough to split asks for the core count
+        blocks = min(blocks, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
     t = _passes(points, 0, steps, n) if blocks < 2 else _split(points, steps, n, blocks)
     try:
         output = Polyline(_rebuild(points[0], t))
     except InvalidInputError:
         raise InvalidInputError("coordinates overflowed float64 while smoothing") from None
     return SmoothingResult(output=output, trace=trace)
-
-
-_MIN_BLOCK_VALUES = 6000  # fewest output coordinates per block for a thread to pay (BENCH_27.json)
 
 
 def _passes(points, lo, steps, n):
