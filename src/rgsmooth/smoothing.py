@@ -156,11 +156,28 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
     if trace.n_steps == 0:
         return SmoothingResult(output=polyline, trace=trace)
     n, steps, points = polyline.n_segments, trace.n_steps, polyline.points
-    blocks = min(n - steps, (n - steps) * points.shape[1] // _MIN_BLOCK_VALUES)
+    blocks = max(1, min(n - steps, (n - steps) * points.shape[1] // _MIN_BLOCK_VALUES))
     if blocks > 1:  # only a run long enough to split asks for the core count
         blocks = min(blocks, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
-    t = _passes(points, 0, steps, n) if blocks < 2 else _split(points, steps, n, blocks)
+    cuts = [(n - steps) * i // blocks for i in range(blocks + 1)]
+    t, errors = np.empty((n - steps, points.shape[1])), []
+
+    def run(lo, hi):
+        try:
+            t[lo:hi] = _passes(points[lo : hi + steps + 1], lo, steps, n)
+        except Exception as exc:  # raised again below, in the calling thread
+            errors.append(exc)
+
+    # Daemon workers let an interrupt end the run at once; one left running writes only into t.
+    workers = [threading.Thread(target=run, args=cuts[i : i + 2], daemon=True) for i in range(1, blocks)]
+    for worker in workers:
+        worker.start()
+    run(0, cuts[1])
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
     try:
         output = Polyline(_rebuild(points[0], t))
     except InvalidInputError:
@@ -170,45 +187,23 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
 
 def _passes(points, lo, steps, n):
     """Run ``steps`` passes on tangents lo, lo + 1, ... of n, the differences of ``points``."""
-    h, ks = len(points) - 2, np.arange(1.0, n)
+    h, top = len(points) - 2, n - 1.0 - lo
     # Rows k = lo, ..., lo + r - 1 of a pass over m1 + 1 tangents weigh t[k] and t[k+1] by (m1-k)/m1
     # and (k+1)/m1: the middle 2*r values of this ramp over m1, bit for bit rescale_fractional's.
     pairs = np.arange(2)[:, None] + np.arange(h)
-    ramp = np.concatenate([ks[n - 1 - lo - h : n - 1 - lo][::-1], ks[lo : lo + h]])
+    ramp = np.concatenate([np.arange(top, top - h, -1), np.arange(lo + 1.0, lo + h + 1)])
     # Only an overflow makes a tangent non-finite (the input is finite, every weight in (0, 1]),
     # and nothing makes it finite again.  A new thread starts in numpy's default error state.
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.diff(points, axis=0)
         for r, m1 in zip(range(h, h - steps, -1), range(n - 1, n - 1 - steps, -1)):
-            # One gather, not slices or take: the benchmark keeps every job's output, so their 3x
-            # speed would show as 15-20 % more long_track peak RSS, beyond its 10 % bound.
+            # One gather, not slices or take: the benchmark keeps every job's output, and slices'
+            # 2.0x (take's 1.7x) long_track speed read 15 % (11 %) more peak RSS, beyond its 10 %.
             g = t[pairs[:, :r]]
             g *= (ramp[h - r : h + r] / m1).reshape(2, r, 1)
             g[0] += g[1]
             t = g[0]
     return t
-
-
-def _split(points, steps, n, blocks):
-    """:func:`_passes` on ``points`` in ``blocks`` row blocks, all but the first in threads."""
-    cuts = [(n - steps) * i // blocks for i in range(blocks + 1)]
-    out, errors = np.empty((cuts[-1], points.shape[1])), []
-
-    def run(lo, hi):
-        try:
-            out[lo:hi] = _passes(points[lo : hi + steps + 1], lo, steps, n)
-        except BaseException as exc:  # raised again below, in the calling thread
-            errors.append(exc)
-
-    workers = [threading.Thread(target=run, args=cuts[i : i + 2]) for i in range(1, blocks)]
-    for worker in workers:
-        worker.start()
-    run(0, cuts[1])
-    for worker in workers:
-        worker.join()
-    if errors:
-        raise errors[0]
-    return out
 
 
 def smooth_to_ratio(polyline: Polyline, target_cr_pct: float) -> SmoothingResult:

@@ -3,7 +3,9 @@
 import math
 import os
 import re
+import subprocess
 import sys
+import textwrap
 import threading
 import warnings
 from fractions import Fraction
@@ -460,9 +462,30 @@ class TestRowBlocks:
     def test_short_curves_start_no_thread(self, monkeypatch, block_starts, n_points, dim):
         # many_short's curves, on any number of cores.
         set_cores(monkeypatch, 64)
-        monkeypatch.setattr(smoothing, "_split", None)
+        monkeypatch.setattr(smoothing, "threading", None)  # starting a thread would raise
         smooth_to_ratio(noisy_curve(n_points=n_points, dim=dim), 90)
         assert block_starts == [0]
+
+    @pytest.mark.parametrize("cpu_count, blocks", [(2, 2), (None, 1)])
+    def test_without_affinity_the_cpu_count_sets_the_blocks(self, monkeypatch, block_starts, cpu_count, blocks):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        steps = 10
+        smooth(Polyline(np.linspace(0.0, 1.0, 2 * smoothing._MIN_BLOCK_VALUES + steps + 1)), steps)
+        assert sorted(block_starts) == [0, smoothing._MIN_BLOCK_VALUES][:blocks]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_memory_layout_does_not_change_bits(self, monkeypatch, block_starts, cores):
+        split_small_curves(monkeypatch, cores)
+        wide = noisy_curve(n_points=81, seed=5, dim=3).points
+        c_order = np.ascontiguousarray(wide[::2])
+        read_only = c_order.copy()
+        read_only.setflags(write=False)
+        expected = smooth(Polyline(c_order), 20).output.points.tobytes()
+        for points in (np.asfortranarray(c_order), wide[::2], read_only):
+            block_starts.clear()
+            assert smooth(Polyline(points), 20).output.points.tobytes() == expected
+            assert sorted(block_starts) == [0, 10][:cores]
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_overflow_in_the_last_block_one_error_and_no_warning(self, monkeypatch, block_starts):
@@ -492,6 +515,24 @@ class TestRowBlocks:
         with pytest.raises(RuntimeError, match=f"block at row {failing} failed"):
             smooth(noisy_curve(n_points=38), 10)
         assert threading.active_count() == threads
+
+    def test_interrupt_ends_a_split_run_without_waiting_for_the_worker(self):
+        # Two blocks of 10**4 passes over 10**6 points, about 40 s in all on a 2-core x86-64 host;
+        # interrupted after 0.5 s, the process ended 0.7 s after it started.
+        script = textwrap.dedent("""
+            import _thread, os, threading
+            import numpy as np
+            from rgsmooth import Polyline, smooth
+            os.sched_getaffinity = lambda pid: {0, 1}
+            curve = Polyline(np.sin(np.linspace(0.0, 50.0, 1000001)))
+            threading.Timer(0.5, _thread.interrupt_main).start()
+            try:
+                smooth(curve, 10000)
+            except KeyboardInterrupt:
+                print("interrupted")
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "interrupted\n", "")
 
     def test_concurrent_calls_get_the_serial_bytes(self, monkeypatch, block_starts):
         steps = 50
