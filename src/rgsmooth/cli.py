@@ -7,6 +7,7 @@ failure, 3 step count beyond what the curve allows (without --clamp).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -67,8 +68,8 @@ def _steps_arg(value: str):
 
 
 def _path_arg(value: str) -> str:
-    if not value:
-        raise argparse.ArgumentTypeError("expected a file name, got ''")
+    if not value or value.endswith(("/", os.sep)):
+        raise argparse.ArgumentTypeError(f"expected a file name, got {value!r}")
     return value
 
 
@@ -115,14 +116,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_smooth(args) -> int:
     schema = CsvSchema(delimiter=args.delimiter, has_header=args.header)
-    if args.svg:
-        # One regular file cannot hold both outputs; a device such as
-        # /dev/null can take both.
-        target = os.path.realpath(args.output)
-        if target == os.path.realpath(args.svg) and (
-            os.path.isfile(target) or not os.path.exists(target)
-        ):
-            raise InvalidInputError(f"--output and --svg name the same file: {target}")
+    target = args.svg and _replaced(args.output)
+    if target and target == _replaced(args.svg):
+        raise InvalidInputError(f"--output and --svg name the same file: {target}")
     try:
         with open(args.input, "rb") as fh:
             polyline = read_points(fh, schema)
@@ -167,24 +163,37 @@ def run_generate(args) -> int:
     return EXIT_OK
 
 
+def _replaced(path: str) -> str | None:
+    """The file a temporary file replaces to write ``path``, or None to write ``path`` in place.
+
+    A regular file or a new name is replaced: one regular file cannot hold two outputs, while a
+    device can.  So anything else that exists is written in place, and so is the file that this
+    process's stdout or stderr writes to, which replacing would cut off from what it held and
+    from what the run prints after.
+    """
+    in_place = os.path.exists(path) and (not os.path.isfile(path) or _std_stream(path))
+    return None if in_place else os.path.realpath(path)
+
+
+def _std_stream(path: str):
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(AttributeError, ValueError, OSError):  # None, closed, or no file
+            if os.path.samestat(os.stat(path), os.fstat(stream.fileno())):
+                return stream
+    return None
+
+
 def _write_all(outputs: list[tuple[str, bytes]]) -> None:
     """Write every (path, data) pair, or none of them on an OSError.
 
-    Each file is written in full to a hidden temporary file beside its
-    target.  Then each existing target that is not a regular file
-    (/dev/null, /dev/stdout) is written directly, and only after all of
-    these writes the temporary files replace their targets.  A symlink is
-    followed, so the link stays and its file is replaced.
+    No temporary file replaces its target before every output is written in full.
     """
     staged, direct = [], []
     for i, (path, data) in enumerate(outputs):
-        if os.path.exists(path) and not os.path.isfile(path):
-            direct.append((path, data))
-        else:
-            target = os.path.realpath(path)
-            # Named from the pid and index alone: the target's own name may be NAME_MAX long.
-            tmp = os.path.join(os.path.dirname(target), f".rgsmooth-{os.getpid()}-{i}.tmp")
-            staged.append((path, tmp, target, data))
+        target = _replaced(path)
+        # Named from the pid and index alone: the target's own name may be NAME_MAX long.
+        tmp = target and os.path.join(os.path.dirname(target), f".rgsmooth-{os.getpid()}-{i}.tmp")
+        (staged if target else direct).append((path, tmp, target, data))
     try:
         for path, tmp, _, data in staged:
             try:
@@ -194,8 +203,11 @@ def _write_all(outputs: list[tuple[str, bytes]]) -> None:
                 raise OSError(exc.errno, reason) from exc
             with fh:
                 fh.write(data)
-        for path, data in direct:
-            with open(path, "wb") as fh:
+        for path, _, _, data in direct:
+            stream = _std_stream(path)
+            if stream:  # what it holds goes first; its own buffer may be raw (-u) and write short
+                stream.flush()
+            with open(stream.fileno() if stream else path, "wb", closefd=not stream) as fh:
                 fh.write(data)
         for path, tmp, target, _ in staged:
             os.replace(tmp, target)

@@ -156,10 +156,8 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
     if trace.n_steps == 0:
         return SmoothingResult(output=polyline, trace=trace)
     n, steps, points = polyline.n_segments, trace.n_steps, polyline.points
-    blocks = max(1, min(n - steps, (n - steps) * points.shape[1] // _MIN_BLOCK_VALUES))
-    if blocks > 1:  # only a run long enough to split asks for the core count
-        blocks = min(blocks, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    blocks = max(1, min(n - steps, (n - steps) * points.shape[1] // _MIN_BLOCK_VALUES, cores))
     cuts = [(n - steps) * i // blocks for i in range(blocks + 1)]
     t, errors = np.empty((n - steps, points.shape[1])), []
 

@@ -27,6 +27,7 @@ from rgsmooth import (
     ParseError,
     Polyline,
     TooManyStepsError,
+    emit_svg,
     read_points,
     smooth,
     write_points,
@@ -452,6 +453,44 @@ class TestSmoothCommand:
         assert main(["smooth", "--input", str(src), "--output", os.devnull,
                      "--svg", os.devnull, "--steps", "2"]) == 0
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_output_and_svg_both_stdout_pipe(self, tmp_path):
+        # A pipe, like a device, takes both outputs, one after the other.
+        src = noisy_input(tmp_path)
+        proc = run_cli("smooth", "--input", str(src), "--output", "/dev/stdout",
+                       "--svg", "/dev/stdout", "--steps", "2")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        polyline = read_points(src.read_bytes())
+        result = smooth(polyline, 2).output
+        assert proc.stdout == (write_points(result) + emit_svg(polyline, result)).decode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    @pytest.mark.parametrize(
+        "mode, argv, tail",
+        [("ab", ["smooth", "--steps", "1", "--trace"], "p=1 N=20 s=20/19 c.r.=4.7619%\n"),
+         ("wb", ["smooth", "--steps", "1", "--trace"], "p=1 N=20 s=20/19 c.r.=4.7619%\n"),
+         ("ab", ["generate", "--n", "3"], "")],
+        ids=["smooth-append", "smooth-truncate", "generate-append"],
+    )
+    def test_stdout_file_named_as_output_written_in_place(self, tmp_path, mode, argv, tail):
+        # The shell opened stdout's file, maybe to append: replacing that file would drop what
+        # it held, and whatever the run prints after the output would go to the replaced file.
+        src = noisy_input(tmp_path)
+        log = tmp_path / "log.txt"
+        log.write_bytes(b"keep\n")
+        head = b"keep\n" if mode == "ab" else b""
+        if argv[0] == "smooth":
+            argv = [*argv, "--input", str(src)]
+            data = write_points(smooth(read_points(src.read_bytes()), 1).output)
+        else:
+            data = write_points(generate_points("sine-noise", 3, 20.0, 0.3, seed=0))
+        with open(log, mode) as out:
+            proc = subprocess.run([sys.executable, "-m", "rgsmooth", *argv, "--output", "/dev/stdout"],
+                                  stdout=out, stderr=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert log.read_bytes() == head + data + tail.encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "log.txt"]
+
     def test_steps_and_target_mutually_exclusive(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         src.write_text("0,0\n1,1\n2,0\n")
@@ -481,19 +520,22 @@ def test_usage_error_exit_2_one_line(argv, message, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, option",
-    [("smooth", "--input"), ("smooth", "--output"), ("smooth", "--svg"), ("generate", "--output")],
-    ids=["smooth-input", "smooth-output", "smooth-svg", "generate-output"],
+    "command, option, name",
+    [("smooth", "--input", ""), ("smooth", "--output", ""), ("smooth", "--svg", ""),
+     ("generate", "--output", ""), ("smooth", "--output", "out.csv" + os.sep)],
+    ids=["smooth-input", "smooth-output", "smooth-svg", "generate-output", "trailing-separator"],
 )
-def test_empty_file_name_exit_2_one_line(command, option, tmp_path, capsys):
-    # An unset shell variable gives '': refused before any file is read or written.
+def test_empty_file_name_exit_2_one_line(command, option, name, tmp_path, capsys, monkeypatch):
+    # An unset shell variable gives '': refused before any file is read or written.  So is a
+    # name ending in a separator, which open() refuses but realpath() would resolve to out.csv.
+    monkeypatch.chdir(tmp_path)
     src = noisy_input(tmp_path)
     out = tmp_path / "out.csv"
     out.write_bytes(b"0,0\n1,1\n")
     args = {"--input": str(src), "--output": str(out), "--steps": "2"} if command == "smooth" else {}
-    args[option] = ""
+    args[option] = name
     assert main([command, *(word for pair in args.items() for word in pair)]) == 2
-    assert capsys.readouterr() == ("", f"error: argument {option}: expected a file name, got ''\n")
+    assert capsys.readouterr() == ("", f"error: argument {option}: expected a file name, got {name!r}\n")
     assert out.read_bytes() == b"0,0\n1,1\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "out.csv"]
 
