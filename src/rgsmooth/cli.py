@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import math
 import os
 import sys
@@ -116,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_smooth(args) -> int:
     schema = CsvSchema(delimiter=args.delimiter, has_header=args.header)
-    target = args.svg and _replaced(args.output)
-    if target and target == _replaced(args.svg):
-        raise InvalidInputError(f"--output and --svg name the same file: {target}")
+    output, svg = _target(args.output), args.svg and _target(args.svg)
+    if svg and svg[1] and svg[1] == output[1]:
+        raise InvalidInputError(f"--output and --svg name the same file: {svg[1]}")
     try:
         with open(args.input, "rb") as fh:
             polyline = read_points(fh, schema)
@@ -142,9 +143,9 @@ def run_smooth(args) -> int:
             return EXIT_TOO_MANY_STEPS
         warning = f"warning: clamping to the maximum of {exc.max_steps} steps\n"
         result = smooth(polyline, exc.max_steps)
-    outputs = [(args.output, write_points(result.output, schema))]
-    if args.svg:
-        outputs.append((args.svg, emit_svg(polyline, result.output)))
+    outputs = [(output, write_points(result.output, schema))]
+    if svg:
+        outputs.append((svg, emit_svg(polyline, result.output)))
     _write_all(outputs)
     # Warned only once the run has succeeded: a failure prints its one error line.
     sys.stderr.write(warning)
@@ -156,23 +157,21 @@ def run_smooth(args) -> int:
 
 def run_generate(args) -> int:
     data = write_points(generate_points(args.kind, args.n, args.x_max, args.sigma, args.seed))
-    if args.output:
-        _write_all([(args.output, data)])
-    else:
-        sys.stdout.buffer.write(data)
+    _write_all([(_target(args.output), data)])
     return EXIT_OK
 
 
-def _replaced(path: str) -> str | None:
-    """The file a temporary file replaces to write ``path``, or None to write ``path`` in place.
+def _target(path: str | None) -> tuple[str | None, str | None, object]:
+    """(path, the file a temporary file replaces or None, the std stream written or None).
 
-    A regular file or a new name is replaced: one regular file cannot hold two outputs, while a
-    device can.  So anything else that exists is written in place, and so is the file that this
-    process's stdout or stderr writes to, which replacing would cut off from what it held and
-    from what the run prints after.
+    No path is this process's stdout.  A regular file or a new name is replaced: one regular file
+    cannot hold two outputs, while a device can.  So anything else that exists is written in place,
+    and so is the file that this process's stdout or stderr writes to, which replacing would cut
+    off from what it held and from what the run prints after.
     """
-    in_place = os.path.exists(path) and (not os.path.isfile(path) or _std_stream(path))
-    return None if in_place else os.path.realpath(path)
+    stream = sys.stdout if path is None else _std_stream(path)
+    in_place = stream or os.path.exists(path) and not os.path.isfile(path)
+    return path, None if in_place else os.path.realpath(path), stream
 
 
 def _std_stream(path: str):
@@ -180,20 +179,16 @@ def _std_stream(path: str):
         with contextlib.suppress(AttributeError, ValueError, OSError):  # None, closed, or no file
             if os.path.samestat(os.stat(path), os.fstat(stream.fileno())):
                 return stream
-    return None
 
 
-def _write_all(outputs: list[tuple[str, bytes]]) -> None:
-    """Write every (path, data) pair, or none of them on an OSError.
+def _write_all(outputs: list[tuple[tuple, bytes]]) -> None:
+    """Write every (``_target``, data) pair, or none of them on an OSError.
 
     No temporary file replaces its target before every output is written in full.
     """
-    staged, direct = [], []
-    for i, (path, data) in enumerate(outputs):
-        target = _replaced(path)
-        # Named from the pid and index alone: the target's own name may be NAME_MAX long.
-        tmp = target and os.path.join(os.path.dirname(target), f".rgsmooth-{os.getpid()}-{i}.tmp")
-        (staged if target else direct).append((path, tmp, target, data))
+    # Named from the pid and index alone: the target's own name may be NAME_MAX long.
+    staged = [(path, os.path.join(os.path.dirname(target), f".rgsmooth-{os.getpid()}-{i}.tmp"),
+               target, data) for i, ((path, target, _), data) in enumerate(outputs) if target]
     try:
         for path, tmp, _, data in staged:
             try:
@@ -203,12 +198,17 @@ def _write_all(outputs: list[tuple[str, bytes]]) -> None:
                 raise OSError(exc.errno, reason) from exc
             with fh:
                 fh.write(data)
-        for path, _, _, data in direct:
-            stream = _std_stream(path)
+        for (path, target, stream), data in outputs:
+            if target:
+                continue
             if stream:  # what it holds goes first; its own buffer may be raw (-u) and write short
                 stream.flush()
-            with open(stream.fileno() if stream else path, "wb", closefd=not stream) as fh:
-                fh.write(data)
+            try:
+                fh = open(stream.fileno() if stream else path, "wb", closefd=not stream)
+            except io.UnsupportedOperation:  # an in-process stdout, say captured, has no descriptor
+                fh = contextlib.nullcontext(stream.buffer)
+            with fh as out:
+                out.write(data)
         for path, tmp, target, _ in staged:
             os.replace(tmp, target)
     except OSError as exc:

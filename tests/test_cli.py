@@ -580,6 +580,29 @@ class TestGenerateCommand:
         assert a.stdout == b.stdout
         assert len(a.stdout.splitlines()) == 31
 
+    def test_stdout_without_descriptor_gets_the_bytes(self):
+        # In process, stdout may be a stream with no file descriptor, as here or under capture.
+        out = io.TextIOWrapper(io.BytesIO())
+        with contextlib.redirect_stdout(out):
+            assert main(["generate", "--n", "5", "--seed", "3"]) == 0
+        assert out.buffer.getvalue() == write_points(generate_points("sine-noise", 5, 20.0, 0.3, 3))
+
+    @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+    def test_stdout_closed_early_exit_1_one_line(self, unbuffered):
+        # About 3 MB, far above a pipe's capacity, so the write must meet the closed pipe.
+        # Under PYTHONUNBUFFERED=1 stdout's own buffer is raw, and a short write through it
+        # would go unnoticed.
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env.update({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})
+        proc = subprocess.Popen([sys.executable, "-m", "rgsmooth", "generate", "--n", "100001"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, head, err) == (
+            1, b"0.0,0.0377", b"error: cannot write output: [Errno 32] Broken pipe\n"
+        )
+
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "gen.csv"
         assert main(["generate", "--n", "11", "--seed", "3", "--output", str(out)]) == 0

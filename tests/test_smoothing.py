@@ -590,6 +590,11 @@ def ulp_of_largest(*arrays):
     return np.spacing(max(np.abs(a).max() for a in arrays))
 
 
+def rising(x, j):
+    """The rising factorial x (x + 1) ... (x + j - 1)."""
+    return math.prod(range(x, x + j))
+
+
 def error_bound(points):
     """How far smooth's output may lie from the exact result, per
     coordinate: 2 ulps of the largest |coordinate| per input point.
@@ -742,9 +747,6 @@ class TestExactReferenceAndInvariants:
         # x^(j) = x (x + 1) ... (x + j - 1), and 0 elsewhere.  Its mean is
         # k*N/M and its variance N*s*k*(M - k) / (M^2 * (M + 1)), README's
         # bandwidth law.
-        def rising(x, j):
-            return math.prod(range(x, x + j))
-
         N = n - 1
         for s in range(1, n - 1):
             M = N - s
@@ -787,6 +789,16 @@ class TestExactReferenceAndInvariants:
         # 1.3 % of 1 / (2 sqrt(pi) sigma_mid).  M is even, so row M / 2 is the middle.
         mid = M // 2
         assert (W[mid] ** 2).sum() * 2 * math.sqrt(math.pi) * by_law[mid] == pytest.approx(1, abs=0.013)
+        # The rows at both ends and around the middle against the closed form itself,
+        # BetaBin(s, k, M - k) on inputs k ... k + s, each exact weight rounded once
+        # (Python divides integers exactly rounded).
+        for k in [*range(8), *range(mid - 2, mid + 3), *range(M - 7, M + 1)]:
+            exact = np.zeros(n)
+            exact[k : k + s + 1] = [
+                math.comb(s, i) * rising(k, i) * rising(M - k, s - i) / rising(M, s)
+                for i in range(s + 1)
+            ]
+            assert np.abs(W[k] - exact).max() <= error_bound(np.eye(n))
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_moment_curve_gives_each_rows_bandwidth(self, n):
