@@ -7,31 +7,13 @@ first point stays bit for bit, the last up to rounding, and an equidistant
 grid stays equidistant.  The number of passes is the only tuning parameter.
 """
 
+import importlib
+
 from .chain import Polyline, TangentChain, build_chain, reconstruct
-from .errors import (
-    ChainTooShortError,
-    InvalidInputError,
-    InvalidScalingError,
-    ParseError,
-    TooManyStepsError,
-)
-from .io import CsvSchema, emit_svg, read_points, write_points
-from .rescale import (
-    CoefficientMatrix,
-    CoefficientRow,
-    overlap_coefficients,
-    rescale_fractional,
-    rescale_integer,
-)
-from .smoothing import (
-    SmoothingResult,
-    SmoothingTrace,
-    StepRecord,
-    compression_ratio,
-    optimal_scaling,
-    smooth,
-    smooth_to_ratio,
-)
+from .errors import (ChainTooShortError, InvalidInputError, InvalidScalingError, ParseError,
+                     TooManyStepsError)
+from .smoothing import (SmoothingResult, SmoothingTrace, StepRecord, compression_ratio,
+                        optimal_scaling, smooth, smooth_to_ratio)
 
 __version__ = "0.1.0"
 
@@ -62,3 +44,22 @@ __all__ = [
     "TooManyStepsError",
     "ParseError",
 ]
+
+# A smoothing call runs neither the CSV/SVG layer nor the exact-rational API, so each loads when
+# first named (PEP 562): as a submodule or through one of its names.
+_LAZY = {"io": ("CsvSchema", "read_points", "write_points", "emit_svg"),
+         "rescale": ("CoefficientRow", "CoefficientMatrix", "overlap_coefficients",
+                     "rescale_fractional", "rescale_integer")}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            value = importlib.import_module(f".{module}", __name__)
+            globals()[name] = value = value if name == module else getattr(value, name)
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import operator
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .errors import InvalidInputError
+
+if TYPE_CHECKING:  # numpy.typing costs import time and is read only by type checkers
+    from numpy.typing import NDArray
 
 
 def _as_int(value, what: str) -> int:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import math
 import os
@@ -118,13 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
 def run_smooth(args) -> int:
     schema = CsvSchema(delimiter=args.delimiter, has_header=args.header)
     output, svg = _target(args.output), args.svg and _target(args.svg)
+    trace = args.trace and _target(None)
     if svg and svg[1] and svg[1] == output[1]:
         raise InvalidInputError(f"--output and --svg name the same file: {svg[1]}")
     try:
         with open(args.input, "rb") as fh:
             polyline = read_points(fh, schema)
     except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
+        _say(f"error: cannot read {args.input}: {exc}")
         return EXIT_IO
 
     if args.svg and polyline.dimension < 2:
@@ -139,19 +141,18 @@ def run_smooth(args) -> int:
             result = smooth(polyline, steps)
     except TooManyStepsError as exc:
         if not args.clamp:
-            print(f"error: {exc}", file=sys.stderr)
+            _say(f"error: {exc}")
             return EXIT_TOO_MANY_STEPS
-        warning = f"warning: clamping to the maximum of {exc.max_steps} steps\n"
+        warning = f"warning: clamping to the maximum of {exc.max_steps} steps"
         result = smooth(polyline, exc.max_steps)
     outputs = [(output, write_points(result.output, schema))]
     if svg:
         outputs.append((svg, emit_svg(polyline, result.output)))
+    if trace:
+        outputs.append((trace, "".join(_trace_line(rec) + "\n" for rec in result.trace).encode()))
     _write_all(outputs)
     # Warned only once the run has succeeded: a failure prints its one error line.
-    sys.stderr.write(warning)
-    if args.trace:
-        for rec in result.trace:
-            print(_trace_line(rec))
+    _say(warning)
     return EXIT_OK
 
 
@@ -169,6 +170,8 @@ def _target(path: str | None) -> tuple[str | None, str | None, object]:
     and so is the file that this process's stdout or stderr writes to, which replacing would cut
     off from what it held and from what the run prints after.
     """
+    if path is None and sys.stdout is None:  # so Python sets it when descriptor 1 was closed at start
+        raise OSError(errno.EBADF, "standard output is closed")
     stream = sys.stdout if path is None else _std_stream(path)
     in_place = stream or os.path.exists(path) and not os.path.isfile(path)
     return path, None if in_place else os.path.realpath(path), stream
@@ -220,6 +223,15 @@ def _write_all(outputs: list[tuple[tuple, bytes]]) -> None:
                 os.remove(tmp)
 
 
+def _say(message: str) -> None:
+    """Print a message line to stderr.  With stderr closed or unwritable, the exit code alone tells."""
+    if message and sys.stderr:
+        try:
+            print(message, file=sys.stderr, flush=True)
+        except (OSError, ValueError):
+            sys.stderr = None  # else Python flushes the line it kept once more at exit, and exits 120
+
+
 def _trace_line(rec) -> str:
     return (
         f"p={rec.step} N={rec.n_before} "
@@ -233,9 +245,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_INVALID
     except OSError as exc:
         # run_smooth reports a failed read itself, so what reaches here is a write.
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        _say(f"error: cannot write output: {exc}")
         return EXIT_IO

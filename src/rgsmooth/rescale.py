@@ -32,12 +32,15 @@ import dataclasses
 import numbers
 import operator
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .chain import TangentChain, _as_int
 from .errors import ChainTooShortError, InvalidInputError, InvalidScalingError
+
+if TYPE_CHECKING:  # numpy.typing costs import time and is read only by type checkers
+    from numpy.typing import NDArray
 
 
 @dataclasses.dataclass(frozen=True)

@@ -671,3 +671,41 @@ class TestGenerateCommand:
         assert code in (0, 2)
         assert err.getvalue().count("\n") == (code == 2)
         assert "Traceback" not in err.getvalue()
+
+
+# How each standard descriptor can be unusable at start: closed, or open for reading only, as a
+# launcher script run in its place can leave it.  Python sets a closed one's stream to None.
+_SHUT_DESCRIPTORS = {"stdout-closed": ">&-", "stderr-closed": "2>&-",
+                     "stdout-read-only": "1</dev/null", "stderr-read-only": "2</dev/null"}
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs a POSIX shell")
+@pytest.mark.parametrize("run", ["smooth", "smooth-trace", "exit-2", "exit-3", "generate"])
+@pytest.mark.parametrize("shut", list(_SHUT_DESCRIPTORS))
+def test_std_descriptor_shut_documented_exit_no_traceback(tmp_path, shut, run):
+    # What the run writes to stdout fails there, and exits 1 with one line; every other run
+    # keeps its documented exit code.  A message meant for stderr never lands on stdout.
+    src = tmp_path / "in.csv"
+    src.write_text("0,0\n1,1\n2,0\n")
+    smoothing = ["smooth", "--input", str(src), "--output", str(tmp_path / "out.csv"), "--steps"]
+    argv, code, out = {
+        "smooth": (smoothing + ["1"], 0, b""),
+        "smooth-trace": (smoothing + ["1", "--trace"], 0, b"p=1 N=2 s=2/1 c.r.=33.3333%\n"),
+        "exit-2": (smoothing + ["x"], 2, b""),
+        "exit-3": (smoothing + ["9"], 3, b""),
+        "generate": (["generate", "--n", "3"], 0,
+                     write_points(generate_points("sine-noise", 3, 20.0, 0.3, seed=0))),
+    }[run]
+    stdout_shut = shut.startswith("stdout")
+    code = 1 if stdout_shut and out else code
+    proc = subprocess.run(
+        ["/bin/sh", "-c", f'exec "$@" {_SHUT_DESCRIPTORS[shut]}', "sh", sys.executable, "-m",
+         "rgsmooth", *argv], capture_output=True, timeout=60)
+    if stdout_shut:
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert proc.stderr.count(b"\n") == (code != 0) and b"Traceback" not in proc.stderr
+        assert proc.stderr.startswith(b"error: " if code else b"")
+    else:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out if code == 0 else b"", b"")
+    written = ["out.csv"] if run.startswith("smooth") and code == 0 else []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", *written]

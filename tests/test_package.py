@@ -1,0 +1,67 @@
+"""Tests for what ``import rgsmooth`` loads and what it exports.
+
+A smoothing call runs only ``chain``, ``errors`` and ``smoothing``, so the
+CSV/SVG layer (``io``) and the exact-rational API (``rescale``) load on
+first use.  Each check that depends on what is loaded runs in a fresh
+interpreter, since this one has long since loaded everything.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+import rgsmooth
+
+LAZY_MODULES = ("io", "rescale")
+
+
+def run_python(script):
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize(
+    "statement, unloaded",
+    [("import rgsmooth", ["rgsmooth.io", "rgsmooth.rescale", "csv", "numpy.typing"]),
+     ("import rgsmooth.cli", ["rgsmooth.rescale", "numpy.typing"])],
+    ids=["package", "cli"],
+)
+def test_import_leaves_unused_modules_unloaded(statement, unloaded):
+    script = f"import sys\n{statement}\nprint(*[m for m in {unloaded!r} if m in sys.modules])"
+    assert run_python(script) == []
+
+
+def test_every_export_is_its_submodules_own_object():
+    # Prints each name that resolves to another object, or is not kept in the package's globals.
+    script = (
+        "import sys, rgsmooth\n"
+        f"for name in [*rgsmooth.__all__, *{LAZY_MODULES!r}]:\n"
+        "    value = getattr(rgsmooth, name)\n"
+        "    own = sys.modules.get('rgsmooth.' + name) or getattr(sys.modules[value.__module__], name)\n"
+        "    if value is not own or vars(rgsmooth).get(name) is not value:\n"
+        "        print(name)\n"
+    )
+    assert run_python(script) == []
+
+
+def test_star_import_binds_all_of_all():
+    script = (
+        "import rgsmooth\n"
+        "namespace = {}\n"
+        "exec('from rgsmooth import *', namespace)\n"
+        "print(*sorted(set(rgsmooth.__all__) - set(namespace)))\n"
+    )
+    assert run_python(script) == []
+
+
+def test_dir_lists_all():
+    assert set(rgsmooth.__all__) <= set(dir(rgsmooth))
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        rgsmooth.no_such_name  # noqa: B018
+    with pytest.raises(ImportError, match="no_such_name"):
+        from rgsmooth import no_such_name  # noqa: F401

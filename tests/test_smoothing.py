@@ -571,12 +571,12 @@ _UNIT = st.just(0.0) | st.floats(2.0**-20, 1.0) | st.floats(-1.0, -(2.0**-20))
 
 
 @st.composite
-def curves(draw, increasing_x=False):
-    """(points, steps): 3 to 40 points in 1 to 3 dimensions, each
+def curves(draw, increasing_x=False, min_dim=1):
+    """(points, steps): 3 to 40 points in min_dim to 3 dimensions, each
     coordinate offset + scale * unit, at the offsets of projected map
     data, and a step count from 1 to n - 2."""
     n = draw(st.integers(3, 40))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(min_dim, 3))
     unit = draw(arrays(np.float64, (n, d), elements=_UNIT))
     if increasing_x:
         # x steps of 1 to 2 units, far above an ulp of x at any offset.
@@ -584,6 +584,15 @@ def curves(draw, increasing_x=False):
     offset = draw(st.sampled_from([0.0, 1e6, -3e7]))
     scale = 10.0 ** draw(st.integers(-3, 3))
     return offset + scale * unit, draw(st.integers(1, n - 2))
+
+
+@st.composite
+def noisy_curves(draw):
+    """Random points or a random walk, 3 to 40 points in 2 or 3 dimensions:
+    a curve that turns at every vertex, by any angle."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(draw(st.integers(3, 40)), draw(st.integers(2, 3))))
+    return np.cumsum(pts, axis=0) if draw(st.booleans()) else pts
 
 
 def ulp_of_largest(*arrays):
@@ -621,6 +630,22 @@ def sign_changes(values):
     """How often the signs of ``values`` alternate, zeros dropped."""
     signs = [v > 0 for v in values if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def turning(tangents):
+    """The angles between consecutive nonzero tangents, by Kahan's
+    2 atan2(|u - v|, |u + v|) of their unit vectors u and v."""
+    t = tangents[(tangents != 0).any(axis=1)]
+    u = t / np.linalg.norm(t, axis=1, keepdims=True)
+    return 2 * np.arctan2(np.linalg.norm(u[1:] - u[:-1], axis=1), np.linalg.norm(u[1:] + u[:-1], axis=1))
+
+
+def direction_slack(tangents, delta):
+    """How far each tangent's direction may be from the exact one's, if its
+    vector may be off by delta in norm: arcsin(delta / |t|), and pi where
+    the exact tangent may be 0 and so not counted at all."""
+    norm = np.linalg.norm(tangents, axis=1)
+    return np.where(norm > delta, np.arcsin(np.minimum(1.0, delta / np.maximum(norm, delta))), np.pi)
 
 
 def level(points, c, d):
@@ -702,6 +727,38 @@ class TestExactReferenceAndInvariants:
             margin = sum(map(abs, c)) * error_bound(pts)
             beyond = [v for v in level(out, c, d) if abs(v) > margin]
             assert sign_changes(beyond) <= sign_changes(level(pts, c, d))
+
+    @settings(max_examples=100, deadline=None)
+    @given(noisy_curves() | curves(min_dim=2).map(lambda case: case[0]))
+    def test_total_turning_never_grows_beyond_rounding(self, pts):
+        # New tangent k is a t[k] + b t[k+1] with a, b > 0, so its direction lies on the shorter
+        # arc between theirs and splits the old turn there in two: the exact total turning (the
+        # discrete total absolute curvature) never grows.  A tangent off by delta in norm turns by
+        # at most its direction slack, and each slack enters the two angles beside its tangent.
+        d = pts.shape[1]
+        before = np.diff(pts, axis=0)
+        slack = direction_slack(before, np.sqrt(d) * ulp_of_largest(pts))
+        allowed = turning(before).sum() + 2 * slack.sum()
+        for steps in range(1, len(pts) - 1):
+            out = smooth(Polyline(pts), steps).output.points
+            after = np.diff(out, axis=0)
+            delta = np.sqrt(d) * (2 * error_bound(pts) + ulp_of_largest(out))
+            margin = 2 * direction_slack(after, delta).sum() + 1e-12 * len(pts)
+            assert turning(after).sum() <= allowed + margin
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(0, 9)).filter(lambda t: t[1] or t[0] > 0),
+                    min_size=2, max_size=13))
+    def test_convex_arc_stays_convex_exact(self, directions):
+        # Tangents in the upper half plane, sorted by angle, turn one way by less than pi in
+        # all: a convex arc.  Each new tangent lies between its two old ones in angle, so every
+        # consecutive cross product stays >= 0.
+        tangents = sorted(directions, key=lambda t: math.atan2(t[1], t[0]))
+        pts = np.cumsum([(0, 0), *tangents], axis=0)
+        for steps in range(1, len(pts) - 1):
+            out = exact_smooth(pts, steps)
+            t = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(out, out[1:])]
+            assert all(a[0] * b[1] - a[1] * b[0] >= 0 for a, b in zip(t, t[1:]))
 
     @settings(max_examples=100, deadline=None)
     @given(curves(), st.lists(st.integers(-30, 30), min_size=3, max_size=3))
