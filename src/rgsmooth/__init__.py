@@ -9,9 +9,8 @@ grid stays equidistant.  The number of passes is the only tuning parameter.
 
 import importlib
 
-from .chain import Polyline, TangentChain, build_chain, reconstruct
-from .errors import (ChainTooShortError, InvalidInputError, InvalidScalingError, ParseError,
-                     TooManyStepsError)
+from .chain import (ChainTooShortError, InvalidInputError, InvalidScalingError, ParseError,
+                    Polyline, TangentChain, TooManyStepsError, build_chain, reconstruct)
 from .smoothing import (SmoothingResult, SmoothingTrace, StepRecord, compression_ratio,
                         optimal_scaling, smooth, smooth_to_ratio)
 

@@ -1,9 +1,8 @@
-"""Point-sequence and tangent-chain representations of an ordered curve.
+"""Point-sequence and tangent-chain representations of a curve, and the package's exception types.
 
-A curve is either a :class:`Polyline` (the points themselves) or a
-:class:`TangentChain` (the first point plus the difference vectors between
-consecutive points).  The rescaling machinery operates on tangent chains;
-:func:`build_chain` and :func:`reconstruct` convert between the two forms.
+A curve is either a :class:`Polyline` (the points themselves) or a :class:`TangentChain` (the first
+point plus the difference vectors between consecutive points).  The rescaling machinery operates on
+tangent chains; :func:`build_chain` and :func:`reconstruct` convert between the two forms.
 """
 
 from __future__ import annotations
@@ -14,10 +13,44 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InvalidInputError
-
 if TYPE_CHECKING:  # numpy.typing costs import time and is read only by type checkers
     from numpy.typing import NDArray
+
+
+class InvalidInputError(ValueError):
+    """Input data violates a precondition (size, shape, or finiteness)."""
+
+
+class InvalidScalingError(InvalidInputError):
+    """Merge factor lies outside the supported range."""
+
+
+class ChainTooShortError(InvalidInputError):
+    """Chain has too few segments for the requested operation."""
+
+
+class TooManyStepsError(ValueError):
+    """More smoothing steps were requested than the curve allows.
+
+    ``max_steps`` carries the largest step count valid for the input.
+    """
+
+    def __init__(self, message: str, max_steps: int):
+        super().__init__(message)
+        self.max_steps = max_steps
+
+
+class ParseError(InvalidInputError):
+    """Text input could not be parsed as numeric points.
+
+    ``row`` and ``column`` are 1-based positions of the offending cell;
+    ``column`` is ``None`` when a whole row is malformed.
+    """
+
+    def __init__(self, message: str, row: int, column: int | None = None):
+        super().__init__(message)
+        self.row = row
+        self.column = column
 
 
 def _as_int(value, what: str) -> int:

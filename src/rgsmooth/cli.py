@@ -16,8 +16,7 @@ import sys
 
 import numpy as np
 
-from .chain import Polyline, _as_int, _as_real
-from .errors import InvalidInputError, TooManyStepsError
+from .chain import InvalidInputError, Polyline, TooManyStepsError, _as_int, _as_real
 from .io import CsvSchema, emit_svg, read_points, write_points
 from .smoothing import smooth, smooth_to_ratio
 
@@ -189,18 +188,23 @@ def _write_all(outputs: list[tuple[tuple, bytes]]) -> None:
 
     No temporary file replaces its target before every output is written in full.
     """
-    # Named from the pid and index alone: the target's own name may be NAME_MAX long.
-    staged = [(path, os.path.join(os.path.dirname(target), f".rgsmooth-{os.getpid()}-{i}.tmp"),
+    # Named by a token of this call, as concurrent calls in one process share the pid, and short:
+    # the target's own name may be NAME_MAX long.  Only files this call created are removed.
+    token, created = os.urandom(6).hex(), []
+    staged = [(path, os.path.join(os.path.dirname(target), f".rgsmooth-{token}-{i}.tmp"),
                target, data) for i, ((path, target, _), data) in enumerate(outputs) if target]
     try:
-        for path, tmp, _, data in staged:
+        for path, tmp, target, data in staged:
             try:
-                fh = open(tmp, "wb")
+                fh = open(tmp, "xb")
             except OSError as exc:
                 reason = f"cannot create a temporary file beside it ({exc.strerror})"
                 raise OSError(exc.errno, reason) from exc
+            created.append(tmp)
             with fh:
                 fh.write(data)
+            with contextlib.suppress(FileNotFoundError):  # a replaced file keeps its permissions
+                os.chmod(tmp, os.stat(target).st_mode & 0o777)
         for (path, target, stream), data in outputs:
             if target:
                 continue
@@ -209,16 +213,18 @@ def _write_all(outputs: list[tuple[tuple, bytes]]) -> None:
             try:
                 fh = open(stream.fileno() if stream else path, "wb", closefd=not stream)
             except io.UnsupportedOperation:  # an in-process stdout, say captured, has no descriptor
-                fh = contextlib.nullcontext(stream.buffer)
+                buf = getattr(stream, "buffer", None)  # None in a text-only one, as io.StringIO
+                fh, data = contextlib.nullcontext(buf or stream), data if buf else data.decode()
             with fh as out:
                 out.write(data)
+                out.flush()
         for path, tmp, target, _ in staged:
             os.replace(tmp, target)
     except OSError as exc:
         # Name the file the user asked for, not its temporary file.
         raise OSError(exc.errno, exc.strerror, path) from exc
     finally:
-        for _, tmp, _, _ in staged:
+        for tmp in created:
             if os.path.exists(tmp):
                 os.remove(tmp)
 

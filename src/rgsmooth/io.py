@@ -19,8 +19,7 @@ import math
 
 import numpy as np
 
-from .chain import Polyline
-from .errors import InvalidInputError, ParseError
+from .chain import InvalidInputError, ParseError, Polyline
 from .smoothing import compression_ratio
 
 # Rows per formatting block in write_points and emit_svg.

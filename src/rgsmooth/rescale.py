@@ -36,8 +36,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chain import TangentChain, _as_int
-from .errors import ChainTooShortError, InvalidInputError, InvalidScalingError
+from .chain import (ChainTooShortError, InvalidInputError, InvalidScalingError, TangentChain,
+                    _as_int)
 
 if TYPE_CHECKING:  # numpy.typing costs import time and is read only by type checkers
     from numpy.typing import NDArray

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import Polyline, _as_int, _as_real, _rebuild
-from .errors import ChainTooShortError, InvalidInputError, TooManyStepsError
+from .chain import (ChainTooShortError, InvalidInputError, Polyline, TooManyStepsError, _as_int,
+                    _as_real, _rebuild)
 
 _MIN_BLOCK_VALUES = 6000  # fewest output coordinates per block for a thread to pay (BENCH_27.json)
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import concurrent.futures
 import contextlib
 import errno
 import hashlib
@@ -11,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from operator import neg
 from pathlib import Path
 
@@ -76,6 +78,14 @@ def noisy_input(tmp_path):
     src = tmp_path / "in.csv"
     src.write_bytes(write_points(generate_points("sine-noise", 21, 10.0, 0.2, seed=6)))
     return src
+
+
+# Streams main() may find as sys.stdout in process: one over a binary buffer, one text only.
+_STREAMS_WITHOUT_DESCRIPTOR = [lambda: io.TextIOWrapper(io.BytesIO()), io.StringIO]
+
+
+def stream_bytes(stream):
+    return stream.buffer.getvalue() if hasattr(stream, "buffer") else stream.getvalue().encode()
 
 
 def run_cli(*argv):
@@ -163,6 +173,16 @@ class TestSmoothCommand:
             assert p == i
             assert n == 10 - (i - 1)
             assert (num, den) == (n, n - 1)
+
+    @pytest.mark.parametrize("make_stream", _STREAMS_WITHOUT_DESCRIPTOR, ids=["binary", "text"])
+    def test_trace_to_stdout_without_descriptor(self, tmp_path, make_stream):
+        src, dst, out = noisy_input(tmp_path), tmp_path / "out.csv", make_stream()
+        with contextlib.redirect_stdout(out):
+            assert main(["smooth", "--input", str(src), "--output", str(dst),
+                         "--steps", "2", "--trace"]) == 0
+        trace = b"p=1 N=20 s=20/19 c.r.=4.7619%\np=2 N=19 s=19/18 c.r.=9.5238%\n"
+        assert stream_bytes(out) == trace
+        assert dst.read_bytes() == write_points(smooth(read_points(src.read_bytes()), 2).output)
 
     def test_output_bytes_pinned(self, tmp_path, capsys):
         # Every input value is exact (x = k/8, y a running sum of multiples
@@ -491,6 +511,23 @@ class TestSmoothCommand:
         assert log.read_bytes() == head + data + tail.encode()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "log.txt"]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stderr"), reason="needs /dev/stderr")
+    def test_stderr_file_named_as_output_written_in_place(self, tmp_path):
+        # As with stdout: the warning printed after the output goes on after it in the same file.
+        src, log = tmp_path / "in.csv", tmp_path / "log.txt"
+        src.write_text("0,0\n1,1\n2,0\n3,1\n")
+        log.write_bytes(b"keep\n")
+        with open(log, "ab") as err:
+            proc = subprocess.run([sys.executable, "-m", "rgsmooth", "smooth", "--input", str(src),
+                                   "--output", "/dev/stderr", "--steps", "9", "--clamp"],
+                                  stdout=subprocess.PIPE, stderr=err)
+        assert (proc.returncode, proc.stdout) == (0, b"")
+        data = write_points(smooth(read_points(src.read_bytes()), 2).output)
+        assert log.read_bytes() == (
+            b"keep\n" + data + b"warning: clamping to the maximum of 2 steps\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "log.txt"]
+
     def test_steps_and_target_mutually_exclusive(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         src.write_text("0,0\n1,1\n2,0\n")
@@ -580,12 +617,13 @@ class TestGenerateCommand:
         assert a.stdout == b.stdout
         assert len(a.stdout.splitlines()) == 31
 
-    def test_stdout_without_descriptor_gets_the_bytes(self):
+    @pytest.mark.parametrize("make_stream", _STREAMS_WITHOUT_DESCRIPTOR, ids=["binary", "text"])
+    def test_stdout_without_descriptor_gets_the_bytes(self, make_stream):
         # In process, stdout may be a stream with no file descriptor, as here or under capture.
-        out = io.TextIOWrapper(io.BytesIO())
+        out = make_stream()
         with contextlib.redirect_stdout(out):
             assert main(["generate", "--n", "5", "--seed", "3"]) == 0
-        assert out.buffer.getvalue() == write_points(generate_points("sine-noise", 5, 20.0, 0.3, 3))
+        assert stream_bytes(out) == write_points(generate_points("sine-noise", 5, 20.0, 0.3, 3))
 
     @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
     def test_stdout_closed_early_exit_1_one_line(self, unbuffered):
@@ -632,6 +670,48 @@ class TestGenerateCommand:
             f"beside it (Permission denied): {str(target)!r}\n"
         )
         assert target.read_bytes() == b"keep\n"
+
+    def test_concurrent_calls_into_one_directory_keep_their_own_bytes(self, tmp_path, monkeypatch):
+        # Both calls stage their temporary files before either replaces its target.
+        barrier, replace = threading.Barrier(2, timeout=30), os.replace
+
+        def replace_after_both_staged(src, dst):
+            barrier.wait()
+            replace(src, dst)
+
+        def generate(seed):
+            return main(["generate", "--n", "51", "--seed", str(seed),
+                         "--output", str(tmp_path / f"{seed}.csv")])
+
+        monkeypatch.setattr(os, "replace", replace_after_both_staged)
+        seeds = [1, 2]
+        with concurrent.futures.ThreadPoolExecutor(2) as pool:
+            codes = list(pool.map(generate, seeds))
+        assert codes == [0, 0]
+        for seed in seeds:
+            expected = write_points(generate_points("sine-noise", 51, 20.0, 0.3, seed))
+            assert (tmp_path / f"{seed}.csv").read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["1.csv", "2.csv"]
+
+    def test_replaced_file_keeps_its_permission_bits(self, tmp_path):
+        # 0o700 is a mode no umask gives a new file.
+        out = tmp_path / "private.csv"
+        out.write_bytes(b"old\n")
+        out.chmod(0o700)
+        assert main(["generate", "--n", "5", "--output", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o700
+        assert read_points(out.read_bytes()).n_points == 5
+
+    def test_existing_temporary_name_left_alone(self, tmp_path, capsys, monkeypatch):
+        # A file that already bears the temporary name was not made by this call: the call fails
+        # rather than truncate or remove it.
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+        stranger = tmp_path / f".rgsmooth-{bytes(6).hex()}-0.tmp"
+        stranger.write_bytes(b"not ours\n")
+        assert main(["generate", "--n", "5", "--output", str(tmp_path / "out.csv")]) == 1
+        assert "cannot create a temporary file beside it (File exists)" in capsys.readouterr().err
+        assert stranger.read_bytes() == b"not ours\n"
+        assert [p.name for p in tmp_path.iterdir()] == [stranger.name]
 
     def test_bad_n_exit_2(self, capsys):
         assert main(["generate", "--n", "1", "--seed", "3"]) == 2

@@ -1,6 +1,6 @@
 """Tests for what ``import rgsmooth`` loads and what it exports.
 
-A smoothing call runs only ``chain``, ``errors`` and ``smoothing``, so the
+A smoothing call runs only ``chain`` and ``smoothing``, so the
 CSV/SVG layer (``io``) and the exact-rational API (``rescale``) load on
 first use.  Each check that depends on what is loaded runs in a fresh
 interpreter, since this one has long since loaded everything.
@@ -31,6 +31,27 @@ def run_python(script):
 def test_import_leaves_unused_modules_unloaded(statement, unloaded):
     script = f"import sys\n{statement}\nprint(*[m for m in {unloaded!r} if m in sys.modules])"
     assert run_python(script) == []
+
+
+def test_package_import_loads_only_chain_and_smoothing():
+    script = ("import sys, rgsmooth\n"
+              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'rgsmooth'))")
+    assert run_python(script) == ["rgsmooth", "rgsmooth.chain", "rgsmooth.smoothing"]
+
+
+def test_error_types_keep_their_bases_and_attributes():
+    from rgsmooth import (ChainTooShortError, InvalidInputError, InvalidScalingError, ParseError,
+                          TooManyStepsError)
+
+    assert InvalidInputError.__bases__ == (ValueError,)
+    assert TooManyStepsError.__bases__ == (ValueError,)
+    for cls in (InvalidScalingError, ChainTooShortError, ParseError):
+        assert cls.__bases__ == (InvalidInputError,)
+    too_many = TooManyStepsError("too many", 7)
+    assert (str(too_many), too_many.max_steps) == ("too many", 7)
+    parse = ParseError("bad cell", 3, 2)
+    assert (str(parse), parse.row, parse.column) == ("bad cell", 3, 2)
+    assert ParseError("bad row", 4).column is None
 
 
 def test_every_export_is_its_submodules_own_object():
