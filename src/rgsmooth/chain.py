@@ -7,7 +7,6 @@ tangent chains; :func:`build_chain` and :func:`reconstruct` convert between the 
 
 from __future__ import annotations
 
-import dataclasses
 import operator
 from typing import TYPE_CHECKING
 
@@ -96,19 +95,49 @@ def _as_point_array(values, min_rows: int, what: str, point: bool = False) -> ND
     return arr
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class Polyline:
+class _Frozen:
+    """Immutable ``__slots__`` fields, equal by value; a copy or unpickling reruns ``__init__``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Polyline(_Frozen):
     """Ordered sequence of at least two points in d-dimensional space.
 
     ``points`` is an (n_points, d) float64 array; a 1-D array is accepted
     and treated as a scalar signal of shape (n_points, 1).  Coordinates
-    must be finite and real.  Instances are immutable.
+    must be finite and real.  Instances are immutable and compare by identity.
     """
 
-    points: NDArray[np.float64]
+    __slots__ = ("points",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", _as_point_array(self.points, 2, "polyline points"))
+    def __init__(self, points):
+        self.__post_init__(points)
+
+    def __post_init__(self, points):  # the check that perfbench/tracing.py times as chain.validate
+        object.__setattr__(self, "points", _as_point_array(points, 2, "polyline points"))
 
     @property
     def dimension(self) -> int:
@@ -123,21 +152,23 @@ class Polyline:
         return self.points.shape[0] - 1
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class TangentChain:
+class TangentChain(_Frozen):
     """A base point plus the tangent (difference) vectors of a curve.
 
     ``base`` is the (d,) first point; ``tangents`` is an (n_segments, d)
     array, one row per segment.  Zero tangents (repeated points) are
-    allowed.  Instances are immutable.
+    allowed.  Instances are immutable and compare by identity.
     """
 
-    base: NDArray[np.float64]
-    tangents: NDArray[np.float64]
+    __slots__ = ("base", "tangents")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        base = _as_point_array(self.base, 1, "chain base", point=True)[0]
-        tangents = _as_point_array(self.tangents, 1, "chain tangents")
+    def __init__(self, base, tangents):
+        self.__post_init__(base, tangents)
+
+    def __post_init__(self, base, tangents):  # timed as chain.validate, as Polyline's
+        base = _as_point_array(base, 1, "chain base", point=True)[0]
+        tangents = _as_point_array(tangents, 1, "chain tangents")
         if tangents.shape[1] != base.shape[0]:
             raise InvalidInputError(
                 f"tangent dimension {tangents.shape[1]} does not match base dimension {base.shape[0]}"

@@ -13,13 +13,12 @@ the y axis flipped so that data y grows upward.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io as _stdio
 import math
 
 import numpy as np
 
-from .chain import InvalidInputError, ParseError, Polyline
+from .chain import InvalidInputError, ParseError, Polyline, _Frozen
 from .smoothing import compression_ratio
 
 # Rows per formatting block in write_points and emit_svg.
@@ -35,8 +34,7 @@ _ROW_PARSER_ONLY = '"\x1c\x1d\x1e\x1f'
 _NOT_DELIMITERS = "0123456789.+-e\r\n"
 
 
-@dataclasses.dataclass(frozen=True)
-class CsvSchema:
+class CsvSchema(_Frozen):
     """How to interpret a CSV point file.
 
     Every column of every data row is a coordinate.  ``has_header`` (a
@@ -45,20 +43,20 @@ class CsvSchema:
     writing and reading back is lossless.
     """
 
-    delimiter: str = ","
-    has_header: bool = False
+    __slots__ = ("delimiter", "has_header")
 
-    def __post_init__(self):
-        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
-            raise InvalidInputError(f"delimiter must be a single character, got {self.delimiter!r}")
-        if self.delimiter in _NOT_DELIMITERS:
+    def __init__(self, delimiter: str = ",", has_header: bool = False):
+        if not isinstance(delimiter, str) or len(delimiter) != 1:
+            raise InvalidInputError(f"delimiter must be a single character, got {delimiter!r}")
+        if delimiter in _NOT_DELIMITERS:
             raise InvalidInputError(
-                f"delimiter {self.delimiter!r} can occur in a number or end a row; "
+                f"delimiter {delimiter!r} can occur in a number or end a row; "
                 f"it may not be any of {_NOT_DELIMITERS!r}"
             )
-        if not isinstance(self.has_header, (int, np.bool_, np.integer)) or self.has_header not in (0, 1):
-            raise InvalidInputError(f"has_header must be True or False, got {self.has_header!r}")
-        object.__setattr__(self, "has_header", bool(self.has_header))
+        if not isinstance(has_header, (int, np.bool_, np.integer)) or has_header not in (0, 1):
+            raise InvalidInputError(f"has_header must be True or False, got {has_header!r}")
+        object.__setattr__(self, "delimiter", delimiter)
+        object.__setattr__(self, "has_header", bool(has_header))
 
 
 def read_points(source, schema: CsvSchema = CsvSchema()) -> Polyline:

@@ -28,11 +28,10 @@ is dropped entirely.
 
 from __future__ import annotations
 
-import dataclasses
 import numbers
 import operator
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -43,8 +42,7 @@ if TYPE_CHECKING:  # numpy.typing costs import time and is read only by type che
     from numpy.typing import NDArray
 
 
-@dataclasses.dataclass(frozen=True)
-class CoefficientRow:
+class CoefficientRow(NamedTuple):
     """Sparse weights defining one new tangent.
 
     ``entries`` holds (old_index, weight) pairs over a consecutive run of
@@ -55,8 +53,7 @@ class CoefficientRow:
     entries: tuple[tuple[int, Fraction], ...]
 
 
-@dataclasses.dataclass(frozen=True)
-class CoefficientMatrix:
+class CoefficientMatrix(NamedTuple):
     """All rows of one rescaling pass, with its exact merge factor.
 
     ``n_new == floor(n_old / factor)``.  When ``n_old / factor`` is an

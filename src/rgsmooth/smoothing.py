@@ -19,23 +19,23 @@ so long runs smooth blocks of output rows in threads, bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 import os
 import threading
 from collections.abc import Sequence
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .chain import (ChainTooShortError, InvalidInputError, Polyline, TooManyStepsError, _as_int,
-                    _as_real, _rebuild)
+                    _as_real, _Frozen, _rebuild)
+
+if TYPE_CHECKING:  # fractions loads decimal; the first Fraction made loads both
+    from fractions import Fraction
 
 _MIN_BLOCK_VALUES = 6000  # fewest output coordinates per block for a thread to pay (BENCH_27.json)
 
 
-@dataclasses.dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """What one smoothing pass did.
 
     ``step`` counts from 1; ``factor`` is the exact merge factor
@@ -50,8 +50,7 @@ class StepRecord:
     compression_ratio_pct: float
 
 
-@dataclasses.dataclass(frozen=True)
-class SmoothingTrace(Sequence[StepRecord]):
+class SmoothingTrace(_Frozen, Sequence[StepRecord]):
     """Per-pass schedule of one smoothing run: a sequence of :class:`StepRecord`.
 
     ``n_points`` is the point count of the run's input and ``n_steps``
@@ -63,14 +62,10 @@ class SmoothingTrace(Sequence[StepRecord]):
     TooManyStepsError, carrying the maximum: over ``n_points - 2`` steps.
     """
 
-    n_points: int
-    n_steps: int
+    __slots__ = ("n_points", "n_steps")
 
-    def __post_init__(self) -> None:
-        n_points = _as_int(self.n_points, "point count")
-        n_steps = _as_int(self.n_steps, "step count")
-        object.__setattr__(self, "n_points", n_points)
-        object.__setattr__(self, "n_steps", n_steps)
+    def __init__(self, n_points: int, n_steps: int) -> None:
+        n_points, n_steps = _as_int(n_points, "point count"), _as_int(n_steps, "step count")
         if n_points < 2:
             raise InvalidInputError(f"point count must be at least 2, got {n_points}")
         max_steps = n_points - 2
@@ -82,6 +77,8 @@ class SmoothingTrace(Sequence[StepRecord]):
                 f"allows at most {max_steps}",
                 max_steps=max_steps,
             )
+        object.__setattr__(self, "n_points", n_points)
+        object.__setattr__(self, "n_steps", n_steps)
 
     def __len__(self) -> int:
         return self.n_steps
@@ -100,8 +97,7 @@ class SmoothingTrace(Sequence[StepRecord]):
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class SmoothingResult:
+class SmoothingResult(NamedTuple):
     output: Polyline
     trace: SmoothingTrace
 
@@ -115,6 +111,7 @@ def optimal_scaling(n_segments: int) -> Fraction:
     n = _as_int(n_segments, "segment count")
     if n < 2:
         raise ChainTooShortError(f"need at least 2 segments to smooth further, got {n}")
+    from fractions import Fraction
     return Fraction(n, n - 1)
 
 
@@ -216,7 +213,8 @@ def smooth_to_ratio(polyline: Polyline, target_cr_pct: float) -> SmoothingResult
     if not 0.0 <= target < 100.0:
         raise InvalidInputError(f"target compression ratio must lie in [0, 100), got {target_cr_pct!r}")
     n = polyline.n_segments
-    k = math.ceil(Fraction(target) * (n + 1) / 100)
+    num, den = target.as_integer_ratio()
+    k = -(-num * (n + 1) // (100 * den))  # ceil(target * (n + 1) / 100) in integers
     if k > n - 1:
         best = compression_ratio(n, 1)
         raise TooManyStepsError(

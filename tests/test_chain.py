@@ -1,5 +1,7 @@
-"""Tests for the polyline / tangent-chain representations."""
+"""Tests for the polyline / tangent-chain representations and the package's value types."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 
@@ -9,11 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgsmooth import (
+    CsvSchema,
     InvalidInputError,
     Polyline,
+    SmoothingResult,
+    SmoothingTrace,
+    StepRecord,
     TangentChain,
     build_chain,
+    overlap_coefficients,
     reconstruct,
+    smooth,
 )
 
 # Well-scaled coordinates keep float round-trip noise far below tolerances.
@@ -219,3 +227,101 @@ def test_dimension_preserved(raw):
     assert c.dimension == p.dimension
     assert reconstruct(c).dimension == p.dimension
     assert c.n_segments == p.n_segments
+
+
+def step_record():
+    return StepRecord(step=1, n_before=4, factor=Fraction(4, 3), n_after=3,
+                      compression_ratio_pct=20.0)
+
+
+# One instance of every public value type, with the names of its fields.
+VALUE_TYPES = {
+    "Polyline": (lambda: Polyline(points=[(0, 0), (1, 1)]), ("points",)),
+    "TangentChain": (lambda: TangentChain(base=(0.0,), tangents=[(1.0,)]), ("base", "tangents")),
+    "StepRecord": (step_record, ("step", "n_before", "factor", "n_after", "compression_ratio_pct")),
+    "SmoothingTrace": (lambda: SmoothingTrace(n_points=5, n_steps=2), ("n_points", "n_steps")),
+    "SmoothingResult": (lambda: smooth(Polyline([0.0, 1.0, 3.0]), 1), ("output", "trace")),
+    "CsvSchema": (lambda: CsvSchema(delimiter=";", has_header=True), ("delimiter", "has_header")),
+    "CoefficientRow": (lambda: overlap_coefficients(3, Fraction(3, 2)).rows[0], ("entries",)),
+    "CoefficientMatrix": (lambda: overlap_coefficients(3, Fraction(3, 2)),
+                          ("rows", "n_old", "n_new", "factor")),
+}
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_fields_cannot_be_assigned_or_deleted(self, name):
+        make, fields = VALUE_TYPES[name]
+        value = make()
+        for field in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, field, 0)
+        for field in fields:
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert hasattr(value, field)
+
+    @pytest.mark.parametrize("name", ["StepRecord", "SmoothingTrace", "SmoothingResult", "CsvSchema",
+                                      "CoefficientRow", "CoefficientMatrix"])
+    def test_records_compare_and_hash_by_value(self, name):
+        make, fields = VALUE_TYPES[name]
+        a = make()
+        b = type(a)(**{field: getattr(a, field) for field in fields})
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_records_with_other_values_differ(self):
+        p = Polyline([0.0, 1.0, 3.0])
+        assert step_record() != StepRecord(step=2, n_before=4, factor=Fraction(4, 3), n_after=3,
+                                           compression_ratio_pct=20.0)
+        assert SmoothingTrace(5, 2) != SmoothingTrace(5, 1)
+        assert SmoothingTrace(5, 2) != SmoothingTrace(6, 2)
+        assert CsvSchema() != CsvSchema(has_header=True)
+        assert smooth(p, 0) != smooth(Polyline(p.points), 0)  # equal points, another curve
+
+    @pytest.mark.parametrize("name", ["Polyline", "TangentChain"])
+    def test_curves_compare_by_identity(self, name):
+        make, _ = VALUE_TYPES[name]
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+    def test_repr_names_the_fields(self):
+        assert repr(SmoothingTrace(3, 1)) == "SmoothingTrace(n_points=3, n_steps=1)"
+        assert repr(CsvSchema()) == "CsvSchema(delimiter=',', has_header=False)"
+        assert repr(step_record()) == ("StepRecord(step=1, n_before=4, factor=Fraction(4, 3), "
+                                       "n_after=3, compression_ratio_pct=20.0)")
+        assert repr(Polyline([0.0, 1.0])).startswith("Polyline(points=array(")
+
+    def test_keyword_construction(self):
+        p = Polyline(points=[(0.0, 1.0), (2.0, 3.0)])
+        chain = TangentChain(base=p.points[0], tangents=np.diff(p.points, axis=0))
+        trace = SmoothingTrace(n_points=p.n_points, n_steps=0)
+        result = SmoothingResult(output=p, trace=trace)
+        schema = CsvSchema(delimiter=";", has_header=1)
+        assert np.array_equal(chain.tangents, [(2.0, 2.0)])
+        assert (trace.n_points, trace.n_steps) == (2, 0)
+        assert result.output is p and result.trace is trace
+        assert (schema.delimiter, schema.has_header) == (";", True)
+
+
+COPIES = {"pickle": lambda v: pickle.loads(pickle.dumps(v)), "copy": copy.copy,
+          "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_copies_keep_values_and_read_only_arrays(how):
+    p = Polyline(np.eye(3))
+    result = smooth(p, 1)
+    chain = build_chain(p)
+    p2, chain2, result2 = (COPIES[how](v) for v in (p, chain, result))
+    assert np.array_equal(p2.points, p.points)
+    assert np.array_equal(chain2.base, chain.base) and np.array_equal(chain2.tangents, chain.tangents)
+    assert np.array_equal(result2.output.points, result.output.points)
+    assert result2.trace == result.trace
+    for arr in (p2.points, chain2.base, chain2.tangents, result2.output.points):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 42.0
+    for value in (SmoothingTrace(5, 2), CsvSchema(delimiter=";", has_header=True), step_record()):
+        assert COPIES[how](value) == value

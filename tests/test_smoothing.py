@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -266,6 +266,30 @@ class TestSmoothToRatio:
                     short.append((n_points, target))
         assert short == []
         assert met == 98014
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=100.0, exclude_max=True),
+           st.integers(min_value=2, max_value=10**6))
+    @example(0.0, 2)
+    @example(-0.0, 10**6)
+    @example(5e-324, 10**6)  # the least subnormal
+    @example(2.2250738585072014e-308, 10**6)  # the least normal
+    @example(math.nextafter(100.0, 0.0), 10**6)
+    @example(math.nextafter(100.0, 0.0), 10**5 + 1)
+    @example(99.9, 10**6)
+    @example(10.0, 30)
+    def test_step_count_is_the_exact_ceiling(self, target, n_points):
+        # k = ceil(target * n_points / 100) in exact rationals, Fraction serving only as the oracle.
+        k = math.ceil(Fraction(target) * n_points / 100)
+        p = Polyline(np.zeros(n_points))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(smoothing, "smooth", lambda p, k: k)
+            if k > n_points - 2:
+                with pytest.raises(TooManyStepsError) as info:
+                    smooth_to_ratio(p, target)
+                assert info.value.max_steps == n_points - 2
+            else:
+                assert smooth_to_ratio(p, target) == k
 
     def test_target_zero_is_identity(self):
         p = noisy_curve(n_points=9)
