@@ -164,9 +164,6 @@ class TangentChain(_Frozen):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, base, tangents):
-        self.__post_init__(base, tangents)
-
-    def __post_init__(self, base, tangents):  # timed as chain.validate, as Polyline's
         base = _as_point_array(base, 1, "chain base", point=True)[0]
         tangents = _as_point_array(tangents, 1, "chain tangents")
         if tangents.shape[1] != base.shape[0]:

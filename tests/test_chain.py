@@ -131,6 +131,19 @@ class TestPolyline:
         raw[0, 0] = 7.0
         assert p.points[0, 0] == 0.0
 
+    def test_smooth_checks_input_and_output_through_post_init(self, monkeypatch):
+        # perfbench/tracing.py times this hook as chain.validate: without it that metric reads 0.
+        calls = []
+        check = Polyline.__post_init__
+
+        def counted(self, points):
+            calls.append(points)
+            check(self, points)
+
+        monkeypatch.setattr(Polyline, "__post_init__", counted)
+        smooth(Polyline(np.eye(3)), 1)
+        assert len(calls) == 2
+
 
 class TestTangentChain:
     def test_dimension_mismatch_rejected(self):
