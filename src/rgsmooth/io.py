@@ -132,21 +132,25 @@ def _parse_fast(text: str, schema: CsvSchema) -> np.ndarray | None:
 def _parse_rows(text: str, schema: CsvSchema) -> np.ndarray:
     """The row-by-row parser: the reference for what the CSV format means."""
     points: list[list[float]] = []
-    rows = csv.reader(_stdio.StringIO(text), delimiter=schema.delimiter)
+    lines, rows = text.split("\n"), csv.reader(_stdio.StringIO(text), delimiter=schema.delimiter)
     row_no = 0
-    try:
-        for row_no, row in enumerate(rows, 1):
-            if (schema.has_header and row_no == 1) or all(cell.strip() == "" for cell in row):
-                continue
-            coords = [_finite(cell, row_no, col) for col, cell in enumerate(row)]
-            if points and len(coords) != len(points[0]):
-                raise ParseError(
-                    f"row {row_no} has {len(coords)} coordinates, expected {len(points[0])}",
-                    row=row_no,
-                )
-            points.append(coords)
-    except csv.Error as exc:
-        raise ParseError(f"row {row_no + 1}: {exc}", row=row_no + 1) from None
+    while (start := rows.line_num) < len(lines) - (lines[-1] == ""):
+        row_no += 1
+        try:
+            row = next(rows)
+        except csv.Error as exc:
+            # Refused only for csv's field limit, a line with no quote or bare CR is split as csv would.
+            line = lines[start].removesuffix("\r")
+            if "field limit" not in str(exc) or '"' in line or "\r" in line:
+                raise ParseError(f"row {row_no}: {exc}", row=row_no) from None
+            row = line.split(schema.delimiter)
+        if (schema.has_header and row_no == 1) or all(cell.strip() == "" for cell in row):
+            continue
+        coords = [_finite(cell, row_no, col) for col, cell in enumerate(row)]
+        if points and len(coords) != len(points[0]):
+            raise ParseError(f"row {row_no} has {len(coords)} coordinates, expected {len(points[0])}",
+                             row=row_no)
+        points.append(coords)
     if len(points) < 2:
         raise InvalidInputError(f"need at least 2 data rows, got {len(points)}")
     return np.array(points, dtype=np.float64)

@@ -11,7 +11,8 @@ A pass works on the bare tangent array; only the run's input and output
 are wrapped as validated curves.  The per-pass schedule depends on
 nothing but the input's point count and the number of passes, so a
 :class:`SmoothingTrace` stores just those two numbers and keeps no
-records: indexing it builds the one record asked for.
+records: indexing it builds the one record asked for.  A pass's weights
+depend on them too, so short runs of one shape share a read-only table.
 
 s passes build output tangent k from input tangents k ... k + s alone,
 so long runs smooth blocks of output rows in threads, bit for bit.
@@ -19,6 +20,7 @@ so long runs smooth blocks of output rows in threads, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from collections.abc import Sequence
@@ -33,6 +35,7 @@ if TYPE_CHECKING:  # fractions loads decimal; the first Fraction made loads both
     from fractions import Fraction
 
 _MIN_BLOCK_VALUES = 6000  # fewest output coordinates per block for a thread to pay (BENCH_27.json)
+_TABLE_MAX = 1 << 16  # most n * steps of a run whose weights are kept: 16 bytes each, 1 MB a table
 
 
 class StepRecord(NamedTuple):
@@ -182,23 +185,36 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
 
 def _passes(points, lo, steps, n):
     """Run ``steps`` passes on tangents lo, lo + 1, ... of n, the differences of ``points``."""
-    h, top = len(points) - 2, n - 1.0 - lo
-    # Rows k = lo, ..., lo + r - 1 of a pass over m1 + 1 tangents weigh t[k] and t[k+1] by (m1-k)/m1
-    # and (k+1)/m1: the middle 2*r values of this ramp over m1, bit for bit rescale_fractional's.
-    pairs = np.arange(2)[:, None] + np.arange(h)
-    ramp = np.concatenate([np.arange(top, top - h, -1), np.arange(lo + 1.0, lo + h + 1)])
+    h = len(points) - 2
     # Only an overflow makes a tangent non-finite (the input is finite, every weight in (0, 1]),
     # and nothing makes it finite again.  A new thread starts in numpy's default error state.
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.diff(points, axis=0)
-        for r, m1 in zip(range(h, h - steps, -1), range(n - 1, n - 1 - steps, -1)):
+        for index, weights in (_table if n * steps <= _TABLE_MAX else _weights)(h, lo, n, steps):
             # One gather, not slices or take: the benchmark keeps every job's output, and slices'
             # 2.0x (take's 1.7x) long_track speed read 15 % (11 %) more peak RSS, beyond its 10 %.
-            g = t[pairs[:, :r]]
-            g *= (ramp[h - r : h + r] / m1).reshape(2, r, 1)
+            g = t[index]
+            g *= weights
             g[0] += g[1]
             t = g[0]
     return t
+
+
+def _weights(h, lo, n, steps):
+    """Each pass's gather index and weights: rows k = lo, ..., lo + r - 1 of a pass over m1 + 1
+    tangents weigh t[k] and t[k+1] by (m1-k)/m1 and (k+1)/m1, bit for bit rescale_fractional's."""
+    pairs, top = np.arange(2)[:, None] + np.arange(h), n - 1.0 - lo
+    ramp = np.concatenate([np.arange(top, top - h, -1), np.arange(lo + 1.0, lo + h + 1)])
+    for r, m1 in zip(range(h, h - steps, -1), range(n - 1, n - 1 - steps, -1)):
+        yield pairs[:, :r], (ramp[h - r : h + r] / m1).reshape(2, r, 1)
+
+
+@functools.lru_cache(maxsize=8)  # the passes of _weights, read-only: short runs of one shape share them
+def _table(h, lo, n, steps):
+    table = tuple(_weights(h, lo, n, steps))
+    for index, weights in table:
+        index.flags.writeable = weights.flags.writeable = False
+    return table
 
 
 def smooth_to_ratio(polyline: Polyline, target_cr_pct: float) -> SmoothingResult:

@@ -186,6 +186,23 @@ class TestReadPoints:
     def test_dialect_variants(self, text):
         assert np.array_equal(read_points(text).points, [(0, 1), (1, 2)])
 
+    def test_a_cell_over_the_csv_field_limit_reads_whichever_parse_runs(self):
+        # 140,002 characters, over csv's default limit of 131,072: a quoted row sends the file
+        # to the row parser, which reads the long line as the fast parse does.
+        text = "0." + "1" * 140_000 + ",2\n3,4\n"
+        plain, quoted = read_points(text).points, read_points(text + '"5",6\n').points
+        assert plain.tobytes() == quoted[:2].tobytes() == _parse_rows(text, CsvSchema()).tobytes()
+        assert quoted[2].tolist() == [5, 6]
+
+    @pytest.mark.parametrize(
+        "line", ['"{cell}",2', '{cell},"2"', "{cell},2\r3"], ids=["quoted", "quote", "bare-cr"]
+    )
+    def test_a_line_over_the_csv_field_limit_with_a_quote_or_bare_cr_is_a_parse_error(self, line):
+        text = "0,1\n" + line.format(cell="1" * 140_000) + "\n3,4\n"
+        with pytest.raises(ParseError, match="row 2: field larger than field limit") as err:
+            read_points(text)
+        assert err.value.row == 2
+
     def test_plain_numbers_take_fast_parse(self):
         assert _parse_fast("0,1\r\n1,2\r\n", CsvSchema()) is not None
         assert _parse_fast("x;y\n0;1\n1;2\n", CsvSchema(";", True)) is not None

@@ -447,6 +447,14 @@ def block_starts(monkeypatch):
     return starts
 
 
+@pytest.fixture
+def table():
+    """smoothing's weight table, emptied before and after the test."""
+    smoothing._table.cache_clear()
+    yield smoothing._table
+    smoothing._table.cache_clear()
+
+
 def set_cores(monkeypatch, cores):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
@@ -558,23 +566,25 @@ class TestRowBlocks:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=10)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "interrupted\n", "")
 
-    def test_concurrent_calls_get_the_serial_bytes(self, monkeypatch, block_starts):
+    def test_concurrent_calls_get_the_serial_bytes(self, monkeypatch, block_starts, table):
+        # Four long runs of two blocks each, and four 101-point runs that share one weight table.
         steps = 50
-        curves = [
-            noisy_curve(n_points=2 * smoothing._MIN_BLOCK_VALUES // dim + steps + 1, seed=i, dim=dim)
+        runs = [
+            (noisy_curve(n_points=2 * smoothing._MIN_BLOCK_VALUES // dim + steps + 1, seed=i, dim=dim), steps)
             for i, dim in enumerate([1, 2, 3, 2])
         ]
+        runs += [(noisy_curve(n_points=101, seed=i), 91) for i in range(4)]
         set_cores(monkeypatch, 1)
-        serial = [smooth(c, steps).output.points.tobytes() for c in curves]
+        serial = [smooth(*run).output.points.tobytes() for run in runs]
         set_cores(monkeypatch, 2)
         block_starts.clear()
-        start, results = threading.Barrier(len(curves)), [None] * len(curves)
+        start, results = threading.Barrier(len(runs)), [None] * len(runs)
 
         def call(i):
             start.wait(timeout=10)
-            results[i] = smooth(curves[i], steps).output.points.tobytes()
+            results[i] = smooth(*runs[i]).output.points.tobytes()
 
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(curves))]
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(runs))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -586,7 +596,53 @@ class TestRowBlocks:
         finally:
             sys.setswitchinterval(interval)
         assert results == serial
-        assert len(block_starts) == 2 * len(curves)
+        assert len(block_starts) == 2 * 4 + 4
+        assert (table.cache_info().misses, table.cache_info().hits) == (1, 3 + 4)
+
+
+class TestWeightTable:
+    def test_a_second_run_of_one_length_builds_no_weights(self, monkeypatch, table):
+        built, weights = [], smoothing._weights
+
+        def counting(*block):
+            built.append(block)
+            return weights(*block)
+
+        monkeypatch.setattr(smoothing, "_weights", counting)
+        smooth_to_ratio(noisy_curve(n_points=101, seed=1), 90)
+        curve = noisy_curve(n_points=101, seed=2)
+        cached = smooth_to_ratio(curve, 90).output.points.tobytes()
+        assert built == [(99, 0, 100, 91)]  # 99 + 1 tangents, from row 0, of 100; 91 passes
+        # The same bytes as weights built pass by pass, outside the table.
+        monkeypatch.setattr(smoothing, "_TABLE_MAX", 0)
+        assert smooth_to_ratio(curve, 90).output.points.tobytes() == cached
+        assert len(built) == 2
+        assert (table.cache_info().misses, table.cache_info().hits) == (1, 1)
+
+    def test_cached_weights_are_read_only(self, table):
+        smooth_to_ratio(noisy_curve(n_points=51), 90)
+        passes = table(49, 0, 50, 46)
+        assert (table.cache_info().misses, table.cache_info().hits) == (1, 1)
+        assert len(passes) == 46
+        for index, weights in passes:
+            assert not index.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            passes[0][1][...] = 0.0
+
+    @pytest.mark.parametrize("n_points, cached", [(51, 1), (101, 1), (201, 1), (401, 0)])
+    def test_many_short_lengths(self, table, n_points, cached):
+        # n * steps: 50 * 46, 100 * 91 and 200 * 181 are within 2**16, 400 * 361 is over it.
+        smooth_to_ratio(noisy_curve(n_points=n_points, dim=3), 90)
+        assert table.cache_info().currsize == cached
+
+    @pytest.mark.parametrize("cores", [1, 64])
+    @pytest.mark.parametrize("n_points, steps", [(10001, 1000), (100001, 20)])
+    def test_long_runs_never_enter_the_table(self, monkeypatch, table, n_points, steps, cores):
+        # The shapes of long_track and cli_file, in one block and in the most blocks any host runs:
+        # the table's memory stays off long runs, however small their blocks.
+        set_cores(monkeypatch, cores)
+        smooth(noisy_curve(n_points=n_points, seed=n_points), steps)
+        assert table.cache_info().misses == 0
 
 
 # Unit coordinates: 0 or of magnitude 2**-20 to 1, so that no run comes
