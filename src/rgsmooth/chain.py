@@ -71,12 +71,14 @@ def _as_point_array(values, min_rows: int, what: str, point: bool = False) -> ND
     """Coerce to an owned, read-only (n, d) float64 array; a ``point`` is one (1, d) row."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind in "biufO":
+        text = arr.dtype.kind == "O" and any(isinstance(v, (str, bytes, bytearray)) for v in arr.flat)
+        if arr.dtype.kind in "biufO" and not text:
             arr = np.array(arr, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{what} must form a rectangular numeric array: {exc}") from None
     if arr.dtype != np.float64:
-        # Only numbers are cast: a cast drops complex parts and reads text or dates as numbers.
+        # Only numbers are cast: a cast drops complex parts and reads text, also inside an
+        # object array, or dates as numbers.
         raise InvalidInputError(f"{what} must be real, got {arr.dtype} values")
     if point and arr.ndim > 1:
         raise InvalidInputError(f"{what} must be one point, got an array of shape {arr.shape}")

@@ -93,8 +93,9 @@ class TestPolyline:
     @pytest.mark.parametrize(
         "values",
         [["1", "2"], [b"1", b"2"], np.array(["2020-01-01", "2020-01-02"], dtype="M8[D]"),
-         np.array([1, 2], dtype="m8[s]")],
-        ids=["text", "bytes", "datetime64", "timedelta64"],
+         np.array([1, 2], dtype="m8[s]"), np.array(["1", 2], dtype=object),
+         np.array([b"1", 2], dtype=object)],
+        ids=["text", "bytes", "datetime64", "timedelta64", "object-text", "object-bytes"],
     )
     @pytest.mark.parametrize(
         "make, what",

@@ -130,10 +130,9 @@ class TestCompressionRatio:
 def noisy_curve(n_points=101, x_max=20.0, sigma=0.3, seed=0, dim=2):
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, x_max, n_points)
-    cols = [x]
-    for _ in range(dim - 1):
-        cols.append(np.sin(x) + rng.normal(0.0, sigma, n_points))
-    return Polyline(np.column_stack(cols))
+    noisy = [np.sin(x) + rng.normal(0.0, sigma, n_points) for _ in range(max(dim - 1, 1))]
+    # In 1-D the curve is the noisy sine alone: the x grid by itself is a straight line.
+    return Polyline(np.column_stack(noisy if dim == 1 else [x, *noisy]))
 
 
 class TestSmooth:
@@ -318,33 +317,26 @@ class TestSmoothToRatio:
 
 
 class TestArrayLoopAndLazyTrace:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("n_points", [3, 37, 401])
-    def test_matches_chain_passes_bitwise_for_every_step_count(self, n_points, dim):
-        p = noisy_curve(n_points=n_points, seed=n_points, dim=dim)
-        curves, records = chain_passes(p, n_points - 2)
-        for steps in range(n_points - 1):
-            res = smooth(p, steps)
-            assert res.output.points.tobytes() == curves[steps].tobytes()
-            assert tuple(res.trace) == tuple(records[:steps])
-            assert len(res.trace) == steps
-
     @pytest.mark.parametrize("n_points", [10001, 100001])
-    def test_matches_chain_passes_bitwise_at_large_n(self, n_points):
+    def test_matches_chain_passes_bitwise_at_large_n(self, monkeypatch, block_starts, n_points):
         # The driver's pass and rescale_fractional share no code, so only
-        # this holds them to the same bits on long chains.
+        # this holds them to the same bits on long chains, split in two blocks.
+        set_cores(monkeypatch, 2)
         p = noisy_curve(n_points=n_points, seed=n_points)
         curves, _ = chain_passes(p, 3)
         assert smooth(p, 3).output.points.tobytes() == curves[3].tobytes()
+        assert sorted(block_starts) == [0, (n_points - 4) // 2]
 
-    def test_matches_chain_passes_bitwise_over_1000_passes(self):
-        # Window offsets n - 1 - m1 up to 1000, at long_track's shape.  Only the
-        # last curve is kept: chain_passes would hold about 150 MB here.
+    def test_matches_chain_passes_bitwise_over_1000_passes(self, monkeypatch, block_starts):
+        # Window offsets n - 1 - m1 up to 1000, at long_track's shape, in two blocks.  Only
+        # the last curve is kept: chain_passes would hold about 150 MB here.
+        set_cores(monkeypatch, 2)
         p = noisy_curve(n_points=10001, seed=10001)
         chain = build_chain(p)
         for _ in range(1000):
             chain = rescale_fractional(chain, optimal_scaling(chain.n_segments))
         assert smooth(p, 1000).output.points.tobytes() == reconstruct(chain).points.tobytes()
+        assert sorted(block_starts) == [0, 4500]
 
     def test_indexing_builds_chain_passes_records(self):
         _, records = chain_passes(noisy_curve(n_points=21), 19)
@@ -465,29 +457,23 @@ def split_small_curves(monkeypatch, cores):
 
 
 class TestRowBlocks:
+    @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n_points", [3, 4, 5, 37, 401])
-    def test_block_edges_bit_exact_for_every_step_count(self, monkeypatch, block_starts, n_points, dim):
+    def test_block_edges_bit_exact_for_every_step_count(self, monkeypatch, block_starts, n_points, dim, cores):
         p = noisy_curve(n_points=n_points, seed=n_points, dim=dim)
-        curves, _ = chain_passes(p, n_points - 2)
-        for cores in (2, 3):
-            split_small_curves(monkeypatch, cores)
-            for steps in range(1, n_points - 1):
-                block_starts.clear()
-                assert smooth(p, steps).output.points.tobytes() == curves[steps].tobytes()
-                # One block per core, never more blocks than output rows, none empty.
-                m = n_points - 1 - steps
-                blocks = min(cores, m)
-                assert sorted(block_starts) == [m * i // blocks for i in range(blocks)]
-
-    @pytest.mark.parametrize("n_points, steps", [(10001, 1000), (100001, 3)])
-    def test_long_bitwise_tests_run_two_blocks_on_two_cores(self, monkeypatch, block_starts, n_points, steps):
-        # The shapes of test_matches_chain_passes_bitwise_over_1000_passes and of the 100001-point
-        # case of test_matches_chain_passes_bitwise_at_large_n, so those hold the split to the bits
-        # of the chain API on any host with two or more cores.
-        set_cores(monkeypatch, 2)
-        smooth(noisy_curve(n_points=n_points, seed=n_points), steps)
-        assert sorted(block_starts) == [0, (n_points - 1 - steps) // 2]
+        curves, records = chain_passes(p, n_points - 2)
+        split_small_curves(monkeypatch, cores)
+        for steps in range(1, n_points - 1):
+            block_starts.clear()
+            res = smooth(p, steps)
+            assert res.output.points.tobytes() == curves[steps].tobytes()
+            assert tuple(res.trace) == tuple(records[:steps])
+            assert len(res.trace) == steps
+            # One block per core, never more blocks than output rows, none empty.
+            m = n_points - 1 - steps
+            blocks = min(cores, m)
+            assert sorted(block_starts) == [m * i // blocks for i in range(blocks)]
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("n_points", [51, 401])
