@@ -139,9 +139,9 @@ def _parse_rows(text: str, schema: CsvSchema) -> np.ndarray:
         try:
             row = next(rows)
         except csv.Error as exc:
-            # Refused only for csv's field limit, a line with no quote or bare CR is split as csv would.
+            # A refused line with no quote or bare CR is split as csv would.
             line = lines[start].removesuffix("\r")
-            if "field limit" not in str(exc) or '"' in line or "\r" in line:
+            if '"' in line or "\r" in line:
                 raise ParseError(f"row {row_no}: {exc}", row=row_no) from None
             row = line.split(schema.delimiter)
         if (schema.has_header and row_no == 1) or all(cell.strip() == "" for cell in row):

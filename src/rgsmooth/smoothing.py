@@ -192,8 +192,8 @@ def _passes(points, lo, steps, n):
         t = np.diff(points, axis=0)
         for index, weights in (_table if n * steps <= _TABLE_MAX else _weights)(h, lo, n, steps):
             # One gather, not slices, take or np.stack((t[:-1], t[1:])): the benchmark keeps every
-            # job's output, and their 2.0x, 1.7x and 2.3-2.5x long_track speed read 15 %, 11 % and
-            # 12-15 % more peak RSS, beyond its 10 % bound.
+            # job's output, and their 2.0x, 2.4-2.6x and 2.3-2.5x long_track speed read 15 %,
+            # 18-19 % and 12-15 % more peak RSS, beyond its 10 % bound.
             g = t[index]
             g *= weights
             g[0] += g[1]

@@ -137,18 +137,6 @@ class TestGeneratePoints:
 
 
 class TestSmoothCommand:
-    def test_end_to_end_matches_library(self, tmp_path):
-        src = tmp_path / "in.csv"
-        dst = tmp_path / "out.csv"
-        polyline = generate_points("sine-noise", 101, 20.0, 0.3, seed=4)
-        src.write_bytes(write_points(polyline))
-
-        code = main(["smooth", "--input", str(src), "--output", str(dst), "--steps", "95"])
-        assert code == 0
-        expected = write_points(smooth(polyline, 95).output)
-        assert dst.read_bytes() == expected
-        assert len(dst.read_text().splitlines()) == 6
-
     def test_steps_max(self, tmp_path):
         src = tmp_path / "in.csv"
         dst = tmp_path / "out.csv"

@@ -165,8 +165,9 @@ class TestReadPoints:
         [
             (b"0,1\n1,\xff\n", 2, "not UTF-8"),
             (b"1,2\r3,4\n5,6\n", 1, "new-line character seen in unquoted field"),
+            (b"0,1\n1,\x002\n", 2, "row 2, column 2: '\\x002' is not a number"),
         ],
-        ids=["not-utf8", "bare-cr"],
+        ids=["not-utf8", "bare-cr", "nul"],
     )
     def test_malformed_text_is_parse_error(self, data, row, message):
         with pytest.raises(ParseError) as err:

@@ -128,38 +128,14 @@ class TestOverlapCoefficients:
 
 
 class TestBruteForceOracle:
-    def test_matches_worked_rows(self):
-        m = brute_force_coefficients(7, Fraction(4, 3))
-        assert entries(m)[0] == ((0, Fraction(1)), (1, Fraction(1, 3)))
-
     def test_matches_closed_form_small(self):
-        assert brute_force_coefficients(4, Fraction(4, 3)) == overlap_coefficients(
-            4, Fraction(4, 3)
-        )
-        # Driver-sized factors (d+1)/d, beyond the random test's den <= 12, on
-        # chains at and around n_old = d + 1, where the rows are closed-form.
+        # Driver-sized factors (d+1)/d, beyond test_c06's den <= 12 and
+        # n_old <= 20, on chains at and around n_old = d + 1, where the rows
+        # are closed-form.
         for d in (13, 50, 299):
             f = Fraction(d + 1, d)
             for n_old in (d, d + 1, d + 2, 2 * d + 2, 3 * d + 3):
                 assert overlap_coefficients(n_old, f) == brute_force_coefficients(n_old, f)
-
-    def test_factor_two(self):
-        assert entries(brute_force_coefficients(2, Fraction(2))) == [
-            ((0, Fraction(1)), (1, Fraction(1)))
-        ]
-
-    @settings(max_examples=120, deadline=None)
-    @given(st.integers(min_value=1, max_value=20), factor_strategy)
-    def test_equivalence_random(self, n_old, factor):
-        if (n_old * factor.denominator) // factor.numerator < 1:
-            with pytest.raises(ChainTooShortError):
-                overlap_coefficients(n_old, factor)
-            with pytest.raises(ChainTooShortError):
-                brute_force_coefficients(n_old, factor)
-        else:
-            assert overlap_coefficients(n_old, factor) == brute_force_coefficients(
-                n_old, factor
-            )
 
 
 class TestRescaleFractional:
@@ -260,12 +236,6 @@ class TestRescaleFractional:
 
 
 class TestRescaleInteger:
-    def test_halving_cascade_7_3_1(self):
-        chain = TangentChain(base=(0.0,), tangents=np.ones((7, 1)))
-        once = rescale_integer(chain, 2)
-        twice = rescale_integer(once, 2)
-        assert (once.n_segments, twice.n_segments) == (3, 1)
-
     def test_pairwise_sums(self):
         chain = TangentChain(base=(0.0, 0.0), tangents=[(1, 0), (0, 1), (1, 0), (0, 1)])
         out = rescale_integer(chain, 2)
