@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # fractions loads decimal; the first Fraction made loads both
     from fractions import Fraction
 
 _MIN_BLOCK_VALUES = 6000  # fewest output coordinates per block for a thread to pay (BENCH_27.json)
-_TABLE_MAX = 1 << 16  # most n * steps of a run whose weights are kept: 16 bytes each, 1 MB a table
+_TABLE_MAX = 1 << 17  # most n * steps * d of a run whose weights are kept: 16 bytes each, 2 MB a table
 
 
 class StepRecord(NamedTuple):
@@ -185,15 +185,23 @@ def smooth(polyline: Polyline, steps: int) -> SmoothingResult:
 
 def _passes(points, lo, steps, n):
     """Run ``steps`` passes on tangents lo, lo + 1, ... of n, the differences of ``points``."""
-    h = len(points) - 2
+    h, d = len(points) - 2, points.shape[1]
     # Only an overflow makes a tangent non-finite (the input is finite, every weight in (0, 1]),
     # and nothing makes it finite again.  A new thread starts in numpy's default error state.
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.diff(points, axis=0)
-        for index, weights in (_table if n * steps <= _TABLE_MAX else _weights)(h, lo, n, steps):
-            # One gather, not slices, take or np.stack((t[:-1], t[1:])): the benchmark keeps every
-            # job's output, and their 2.0x, 2.4-2.6x and 2.3-2.5x long_track speed read 15 %,
-            # 18-19 % and 12-15 % more peak RSS, beyond its 10 % bound.
+        if n * steps * d <= _TABLE_MAX:  # in place, every operand (r, d): one flat loop per call
+            x = np.empty((h, d))
+            for w0, w1 in _table(h, lo, n, steps, d):
+                b = np.multiply(t[1:], w1, out=x[: len(t) - 1])
+                t = t[:-1]
+                t *= w0
+                t += b
+            return t
+        for index, weights in _weights(h, lo, n, steps):
+            # Long runs keep one gather: slices, take and np.stack((t[:-1], t[1:])) ran long_track
+            # 2.0x, 2.4-2.6x and 2.3-2.5x as fast, but the benchmark keeps every job's output, so
+            # they read 15 %, 18-19 % and 12-15 % more peak RSS, beyond its 10 % bound.
             g = t[index]
             g *= weights
             g[0] += g[1]
@@ -210,11 +218,12 @@ def _weights(h, lo, n, steps):
         yield pairs[:, :r], (ramp[h - r : h + r] / m1).reshape(2, r, 1)
 
 
-@functools.lru_cache(maxsize=8)  # the passes of _weights, read-only: short runs of one shape share them
-def _table(h, lo, n, steps):
-    table = tuple(_weights(h, lo, n, steps))
-    for index, weights in table:
-        index.flags.writeable = weights.flags.writeable = False
+@functools.lru_cache(maxsize=8)  # read-only: short runs of one shape share them
+def _table(h, lo, n, steps, d):
+    """_weights' weights repeated to d columns, a (2, r, d) array a pass: 16 * d bytes per n * steps."""
+    table = tuple(np.repeat(weights, d, axis=2) for _, weights in _weights(h, lo, n, steps))
+    for weights in table:
+        weights.flags.writeable = False
     return table
 
 

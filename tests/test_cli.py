@@ -88,6 +88,15 @@ def stream_bytes(stream):
     return stream.buffer.getvalue() if hasattr(stream, "buffer") else stream.getvalue().encode()
 
 
+def write_exact_curve(path, n_points):
+    """Write a curve whose every value is exact: x = k/8, y a running sum of
+    multiples of 1/64.  A pass only multiplies, adds and divides, so digests
+    of its outputs hold on any numpy build and CPU."""
+    k = np.arange(n_points)
+    y = np.cumsum(((7919 * k) % 1009 - 504) / 64)
+    path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip((k / 8).tolist(), y.tolist())))
+
+
 def run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "rgsmooth", *argv], capture_output=True, text=True
@@ -173,13 +182,8 @@ class TestSmoothCommand:
         assert dst.read_bytes() == write_points(smooth(read_points(src.read_bytes()), 2).output)
 
     def test_output_bytes_pinned(self, tmp_path, capsys):
-        # Every input value is exact (x = k/8, y a running sum of multiples
-        # of 1/64) and a pass only multiplies, adds and divides, so these
-        # digests hold on any numpy build and CPU.
-        k = np.arange(4001)
-        y = np.cumsum(((7919 * k) % 1009 - 504) / 64)
         src, dst, plot = (tmp_path / name for name in ("in.csv", "out.csv", "out.svg"))
-        src.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip((k / 8).tolist(), y.tolist())))
+        write_exact_curve(src, 4001)
         assert main(["smooth", "--input", str(src), "--output", str(dst), "--steps", "400",
                      "--svg", str(plot), "--trace"]) == 0
         outputs = dst.read_bytes(), plot.read_bytes(), capsys.readouterr().out.encode()
@@ -188,6 +192,13 @@ class TestSmoothCommand:
             "72f6630f44b5a90ce2fb4aafac4bc9b44a0e2fbe",
             "113eccdc2cf1db1fcb9b84870f23f21694e18e27",
         ]
+
+    def test_table_path_bytes_pinned(self, tmp_path):
+        # 101 points at --target-cr 90 (91 passes) read their weights from the weight table.
+        src, dst = tmp_path / "in.csv", tmp_path / "out.csv"
+        write_exact_curve(src, 101)
+        assert main(["smooth", "--input", str(src), "--output", str(dst), "--target-cr", "90"]) == 0
+        assert hashlib.sha1(dst.read_bytes()).hexdigest() == "5a44a288b18f4c7f4cf9eaf2a33da32764744691"
 
     def test_target_cr(self, tmp_path, capsys):
         src = tmp_path / "in.csv"

@@ -398,12 +398,13 @@ def split_small_curves(monkeypatch, cores):
 
 
 class TestRowBlocks:
-    # Under split_small_curves the block count is min(cores, M) whatever d is, the weights are
-    # (2, r, 1) and broadcast, and the gather picks whole rows, so no block count, weight or index
-    # reads d.  401 points is the length whose runs leave the weight table from s = 164 on
-    # (400 * 164 > 2**16, pinned by test_many_short_lengths[401-0]), so one dimension holds both
-    # weight paths at every step count.  d's role in the production block count (M * d // 6000)
-    # stays with test_concurrent_calls_get_the_serial_bytes.
+    # Under split_small_curves the block count is min(cores, M) whatever d is.  Only the weight
+    # table's full-width (r, d) weights read d, and the 3- to 37-point rows run on it in 1, 2 and 3
+    # dimensions; the generator path's weights are (2, r, 1) and broadcast, and its gather picks
+    # whole rows.  401 points is the length whose 1-D runs leave the table from s = 328 on
+    # (400 * 328 > 2**17), so one dimension holds both weight paths at every step count.  d's role
+    # in the production block count (M * d // 6000) stays with
+    # test_concurrent_calls_get_the_serial_bytes.
     @pytest.mark.parametrize("cores", [1, 2, 3])
     @pytest.mark.parametrize("n_points, dim", [(n, d) for n in (3, 4, 5, 37) for d in (1, 2, 3)] + [(401, 1)])
     def test_block_edges_bit_exact_for_every_step_count(self, monkeypatch, block_starts, n_points, dim, cores):
@@ -533,7 +534,8 @@ class TestRowBlocks:
 
 
 class TestWeightTable:
-    def test_a_second_run_of_one_length_builds_no_weights(self, monkeypatch, table):
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_second_run_of_one_length_builds_no_weights(self, monkeypatch, table, dim):
         built, weights = [], smoothing._weights
 
         def counting(*block):
@@ -541,11 +543,11 @@ class TestWeightTable:
             return weights(*block)
 
         monkeypatch.setattr(smoothing, "_weights", counting)
-        smooth_to_ratio(noisy_curve(n_points=101, seed=1), 90)
-        curve = noisy_curve(n_points=101, seed=2)
+        smooth_to_ratio(noisy_curve(n_points=101, seed=1, dim=dim), 90)
+        curve = noisy_curve(n_points=101, seed=2, dim=dim)
         cached = smooth_to_ratio(curve, 90).output.points.tobytes()
         assert built == [(99, 0, 100, 91)]  # 99 + 1 tangents, from row 0, of 100; 91 passes
-        # The same bytes as weights built pass by pass, outside the table.
+        # The in-place passes give the same bytes as the gather of weights built pass by pass.
         monkeypatch.setattr(smoothing, "_TABLE_MAX", 0)
         assert smooth_to_ratio(curve, 90).output.points.tobytes() == cached
         assert len(built) == 2
@@ -553,19 +555,30 @@ class TestWeightTable:
 
     def test_cached_weights_are_read_only(self, table):
         smooth_to_ratio(noisy_curve(n_points=51), 90)
-        passes = table(49, 0, 50, 46)
+        passes = table(49, 0, 50, 46, 2)
         assert (table.cache_info().misses, table.cache_info().hits) == (1, 1)
         assert len(passes) == 46
-        for index, weights in passes:
-            assert not index.flags.writeable and not weights.flags.writeable
+        for r, (w0, w1) in zip(range(49, 3, -1), passes):
+            for w in (w0, w1):
+                assert not w.flags.writeable and w.flags.c_contiguous and w.shape == (r, 2)
+                assert (w[:, 0] == w[:, 1]).all()
         with pytest.raises(ValueError, match="read-only"):
             passes[0][1][...] = 0.0
 
     @pytest.mark.parametrize("n_points, cached", [(51, 1), (101, 1), (201, 1), (401, 0)])
     def test_many_short_lengths(self, table, n_points, cached):
-        # n * steps: 50 * 46, 100 * 91 and 200 * 181 are within 2**16, 400 * 361 is over it.
-        smooth_to_ratio(noisy_curve(n_points=n_points, dim=3), 90)
-        assert table.cache_info().currsize == cached
+        # many_short's 2-D and 3-D curves: n * steps * d for 50 * 46, 100 * 91 and 200 * 181 is
+        # within 2**17 at d = 3, and 400 * 361 is over it at d = 2.
+        for dim in (2, 3):
+            table.cache_clear()
+            smooth_to_ratio(noisy_curve(n_points=n_points, dim=dim), 90)
+            assert table.cache_info().currsize == cached
+
+    def test_wide_curves_stay_off_the_table(self, table):
+        # 50 * 46 * 64 = 147,200 > 2**17: a table counts coordinates, not points, so no curve
+        # keeps more than 2 MB of weights.
+        smooth_to_ratio(noisy_curve(n_points=51, dim=64), 90)
+        assert table.cache_info().misses == 0
 
     @pytest.mark.parametrize("cores", [1, 64])
     @pytest.mark.parametrize("n_points, steps", [(10001, 1000), (100001, 20)])
