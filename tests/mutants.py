@@ -6,8 +6,9 @@ Not collected by pytest.  From the repository root:
 
 Each mutant (or each whose name holds a given substring) replaces one
 exact text in one package file of a fresh copy of the tree under DIR,
-and ``pytest -x -q`` runs there, ``tests/test_smoothing.py`` first and
-c04a deselected.  Prints ``killed by <first failing test>``,
+and ``pytest -x -q --hypothesis-seed=0`` runs there, the mutated
+module's own test file (``tests/test_<module>.py``) first and c04a
+deselected.  Prints ``killed by <first failing test>``,
 ``survived`` (expected only of a mutant marked equivalent, which gives
 the same bytes) or ``stale`` (the text no longer occurs exactly once:
 update the mutant).  Exits 1 if a mutant not marked equivalent survived
@@ -26,7 +27,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "demos", "README.md", "pyproject.toml")
 C04A = "tests/test_acceptance.py::test_c04_five_value_grid_after_95_steps"
-S = "smoothing.py"
+S, R, I, C = "smoothing.py", "rescale.py", "io.py", "chain.py"
+THIRD = "out[three] += (c2[three] / float(den))[:, None] * t[first[three] + 2]"
 
 # (what it breaks, package file, old text, new text, equivalent)
 MUTANTS = [
@@ -56,6 +58,37 @@ MUTANTS = [
      "return Fraction(n, n - 1) if n < 50 else Fraction(2)", False),
     ("optimal_scaling: 3/2 at 2 segments", S, "return Fraction(n, n - 1)",
      "return Fraction(n, n - 1) if n > 2 else Fraction(3, 2)", False),
+    ("optimal_scaling: (n + 1)/n", S, "return Fraction(n, n - 1)", "return Fraction(n + 1, n)", False),
+    ("compression_ratio: always 50", S, "return 100 * (n_orig - n_cur) / (n_orig + 1)", "return 50.0", False),
+    ("rescale: weights rounded as c0 * (1/den)", R, "t[first] * (c0 / float(den))", "t[first] * (c0 * (1.0 / den))",
+     False),
+    ("rescale: third term dropped", R, THIRD, "pass", False),
+    ("rescale: second term from the first axis only", R, "t[first + 1] * (c1 / float(den))[:, None]",
+     "t[first + 1][:, :1] * (c1 / float(den))[:, None]", False),
+    ("rescale: c1 capped at den + 1", R, "c1 = np.minimum(den, num - c0)", "c1 = np.minimum(den + 1, num - c0)",
+     False),
+    ("overlap_coefficients: weights over num", R, "Fraction(c, den)", "Fraction(c, num)", False),
+    ("rescale: rows of one segment fewer", R, "_lattice_rows(t.shape[0], num, den)",
+     "_lattice_rows(t.shape[0] - 1, num, den)", False),
+    ("to_dense: no third entry", R, "in row.entries:\n                dense[k, j]",
+     "in row.entries[:2]:\n                dense[k, j]", False),
+    ("column_sums: no third entry", R, "in row.entries:\n                sums[j]",
+     "in row.entries[:2]:\n                sums[j]", False),
+    ("rescale_integer: one run short", R, "n_new = chain.n_segments // factor",
+     "n_new = max(1, chain.n_segments // factor - 1)", False),
+    ("rescale: third term added first", R, THIRD,
+     "out[three] = (c2[three] / float(den))[:, None] * t[first[three] + 2] + out[three]", True),
+    # The largest tick, (first + 1) * den of the last row, is at most (n_old - 1) * den.
+    ("rescale: int64 check at >", R, "if n_old * den >= 2**63:", "if n_old * den > 2**63:", True),
+    ("io: _num at 5 digits", I, 'f"{float(value):.6g}"', 'f"{float(value):.5g}"', False),
+    ("io: the fast parse takes one row", I, "if len(points) < 2 or", "if len(points) < 1 or", False),
+    ("io: a flat axis padded by 0.25", I, "np.where(span == 0.0, 0.5,", "np.where(span == 0.0, 0.25,", False),
+    ("chain: the input buffer aliased", C, "np.array(arr, dtype=np.float64)", "np.asarray(arr, dtype=np.float64)",
+     False),
+    ("chain: text in object arrays read as numbers", C, 'text = arr.dtype.kind == "O" and any(',
+     "text = False and any(", False),
+    ("cli: the input points written", "cli.py", "write_points(result.output, schema)",
+     "write_points(polyline, schema)", False),
 ]
 
 
@@ -74,9 +107,9 @@ def audit(path, old, new, workdir):
         with open(target, "w", encoding="utf-8") as f:
             f.write(text.replace(old, new))
         files = sorted(f for f in os.listdir(os.path.join(tree, "tests")) if re.fullmatch(r"test_.*\.py", f))
-        files.sort(key=lambda f: f != "test_smoothing.py")
-        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--deselect", C04A,
-               *(os.path.join("tests", f) for f in files)]
+        files.sort(key=lambda f: f != f"test_{path}")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+               "--deselect", C04A, *(os.path.join("tests", f) for f in files)]
         env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
         proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
         failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M)

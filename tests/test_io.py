@@ -458,6 +458,21 @@ class TestEmitSvg:
         with pytest.raises(InvalidInputError, match=message):
             emit_svg(**curves)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 21: absolute %.6g coordinates keep few digits "
+                       "of a small span far from the origin")
+    def test_far_from_origin_plots_as_many_distinct_x(self):
+        # A circle of radius 100 centred at (5e6, 5e6) plots 21 distinct x
+        # values, where the same circle at the origin plots 102.
+        angle = np.linspace(0.0, 2 * np.pi, 201)
+        circle = 100.0 * np.column_stack([np.cos(angle), np.sin(angle)])
+
+        def distinct_x(centre):
+            p = Polyline(circle + centre)
+            path = emit_svg(p, p).decode().split('points="')[1].split('"')[0]
+            return len({pair.split(",")[0] for pair in path.split()})
+
+        assert distinct_x(5e6) == distinct_x(0.0)
+
     def test_y_axis_flipped(self):
         # Larger data y must map to a smaller SVG y coordinate.
         p = Polyline([(0.0, 0.0), (1.0, 10.0)])
